@@ -28,32 +28,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds
 
-from ..switch.config import SwitchConfig
-from ..traffic.trace import Trace
-from .timegraph import OptResult, default_horizon
+from .timegraph import OptResult, TimeExpandedModel
 
 
-class CrossbarOptModel:
+class CrossbarOptModel(TimeExpandedModel):
     """Exact offline optimum for a buffered crossbar instance."""
-
-    def __init__(
-        self,
-        trace: Trace,
-        config: SwitchConfig,
-        horizon: Optional[int] = None,
-    ):
-        if trace.n_in != config.n_in or trace.n_out != config.n_out:
-            raise ValueError("trace/config dimension mismatch")
-        self.trace = trace
-        self.config = config
-        self.horizon = horizon if horizon is not None else default_horizon(
-            trace, config
-        )
-        if trace.packets and self.horizon <= trace.packets[-1].arrival:
-            raise ValueError("horizon must extend past the last arrival")
-        self._built = False
 
     def build(self) -> None:
         if self._built:
@@ -255,72 +236,21 @@ class CrossbarOptModel:
         self.row_ub = np.asarray(ub)
         self._built = True
 
-    def solve_lp_relaxation(self) -> float:
-        """Benefit of the LP relaxation (upper bound on the optimum)."""
-        if not self.trace.packets:
-            return 0.0
-        self.build()
-        res = milp(
-            c=self.objective,
-            constraints=LinearConstraint(self.A, self.row_lb, self.row_ub),
-            integrality=np.zeros(self.n_var),
-            bounds=self.bounds,
-        )
-        if res.status != 0 or res.x is None:
-            raise RuntimeError(
-                f"crossbar OPT LP relaxation failed: {res.message!r}"
-            )
-        return float(-res.fun)
-
     def solve(self, extract_schedule: bool = False) -> OptResult:
         """Solve to proven optimality."""
-        if not self.trace.packets:
-            return OptResult(benefit=0.0, n_delivered=0)
-        self.build()
-        res = milp(
-            c=self.objective,
-            constraints=LinearConstraint(self.A, self.row_lb, self.row_ub),
-            integrality=np.ones(self.n_var),
-            bounds=self.bounds,
+        return self._solve(extract_schedule)
+
+    def _schedule(self, x: np.ndarray, result: OptResult) -> None:
+        # Departures reported at both stages; shadow replay for the
+        # crossbar consumes input-subphase (y) and output-subphase (z)
+        # events separately via the raw maps below.
+        self.y_events = sorted(
+            (t, s, i, j) for (i, j, t, s), v in self.var_y.items() if x[v] > 0.5
         )
-        if res.status != 0 or res.x is None:
-            raise RuntimeError(
-                f"crossbar OPT MILP failed: status={res.status} "
-                f"message={res.message!r}"
-            )
-        x = res.x
-        accepted = [
-            self.trace.packets[idx].pid
-            for idx in range(len(self.trace.packets))
-            if x[self.var_a[idx]] > 0.5
-        ]
-        benefit = float(
-            sum(
-                self.trace.packets[idx].value
-                for idx in range(len(self.trace.packets))
-                if x[self.var_a[idx]] > 0.5
-            )
+        self.z_events = sorted(
+            (t, s, i, j) for (i, j, t, s), v in self.var_z.items() if x[v] > 0.5
         )
-        result = OptResult(
-            benefit=benefit,
-            n_delivered=len(accepted),
-            accepted_pids=accepted,
+        result.departures = list(self.y_events)
+        result.transmissions = sorted(
+            (t, j) for (j, t), v in self.var_w.items() if x[v] > 0.5
         )
-        if extract_schedule:
-            # Departures reported at both stages; shadow replay for the
-            # crossbar consumes input-subphase (y) and output-subphase (z)
-            # events separately via the raw maps below.
-            self.y_events = sorted(
-                (t, s, i, j) for (i, j, t, s), v in self.var_y.items()
-                if x[v] > 0.5
-            )
-            self.z_events = sorted(
-                (t, s, i, j) for (i, j, t, s), v in self.var_z.items()
-                if x[v] > 0.5
-            )
-            result.departures = list(self.y_events)
-            for (j, t), v in self.var_w.items():
-                if x[v] > 0.5:
-                    result.transmissions.append((t, j))
-            result.transmissions.sort()
-        return result

@@ -36,7 +36,9 @@ OPT_MODES = ("exact", "windowed", "bounds", "auto")
 #: a proxy for the departure-variable count) below which the exact MILP
 #: solves in acceptable time.  Calibrated against measured HiGHS solve
 #: times: ~8k proxy units solve in seconds, ~30k in about a minute, and
-#: growth beyond that is strongly superlinear.
+#: growth beyond that is strongly superlinear.  The calibration predates
+#: the LP-first certificate and is deliberately not retuned, so auto
+#: mode keeps picking the same solver for the same instance.
 AUTO_EXACT_BUDGET = 30_000
 
 #: Per-window size budget for auto-selected windowed mode, and a cap on

@@ -18,13 +18,17 @@ queue inventory -> transmission slot — subject to:
 
 The port constraints couple cycle arcs that share no graph node (a
 packet must leave through *its own* output), so the exact problem is the
-small integer program assembled by :class:`CIOQOptModel` (solved with
-HiGHS via :func:`scipy.optimize.milp`; the LP relaxation is almost
-always integral, so branching is rare).  :func:`cioq_relaxation_bound`
-additionally computes a fast pure-flow *upper bound* that relaxes packet
-identity at the input-port nodes — useful for quick sanity bounds on
-instances too large for the exact model, and as a cross-check
-(``exact <= relaxation`` always).
+small integer program assembled by :class:`CIOQOptModel` and solved with
+HiGHS via :func:`scipy.optimize.milp`.  The constraint matrix is
+network-flow-like, so the LP relaxation's simplex vertex is usually
+already integral: :meth:`CIOQOptModel.solve` accepts that vertex
+when it certifies itself optimal and branches only when it does not
+(LP vertex, then a MILP restricted to the packets the LP left
+fractional, then the full MILP; see ``docs/offline_opt.md``).
+:func:`cioq_relaxation_bound` additionally computes a fast pure-flow
+*upper bound* that relaxes packet identity at the input-port nodes —
+useful for quick sanity bounds on instances too large for the exact
+model, and as a cross-check (``exact <= relaxation`` always).
 """
 
 from __future__ import annotations
@@ -102,21 +106,27 @@ def default_horizon(trace: Trace, config: SwitchConfig) -> int:
     return trace.n_slots + drain_bound(config)
 
 
-class CIOQOptModel:
-    """Exact offline optimum for a CIOQ instance via integer programming.
+#: An LP vertex entry within this distance of an integer counts as integral.
+INTEGRAL_TOL = 1e-6
+#: Relative slack within which an integral point's objective meets the
+#: LP bound.
+OBJECTIVE_RTOL = 1e-9
 
-    Variable classes (all integral):
 
-    * ``a_p``    in {0,1} — packet p is accepted *and delivered*,
-    * ``x_ijts`` in {0,1} — a packet moves Q_ij -> Q_j in cycle (t, s),
-    * ``h_ijt``  in [0, b_in]  — VOQ inventory carried from slot t to t+1,
-    * ``g_jt``   in [0, b_out] — output inventory carried from t to t+1,
-    * ``w_jt``   in {0,1} — a transmission from output j in slot t.
+class TimeExpandedModel:
+    """Shared constructor and certified solver of the exact OPT models.
 
-    Inventory variables at the final slot are simply not created, which
-    forces OPT to drain by the horizon (the horizon includes a
-    sufficient drain period, so this costs nothing).
+    Subclasses assemble, in ``build``, the minimised ``objective`` over
+    ``n_var`` variables within ``bounds``, the rows
+    ``row_lb <= A x <= row_ub`` and the packet variables ``var_a``.
+    Every coefficient and bound is integral, so feasibility of an
+    integral point is checked exactly in floating point.
     """
+
+    #: Which rung certified the last solve: ``"lp"``, ``"restricted"``
+    #: or ``"milp"``; ``None`` until a solve ran (the empty trace needs
+    #: none).
+    certified_by: Optional[str] = None
 
     def __init__(
         self,
@@ -134,6 +144,109 @@ class CIOQOptModel:
         if trace.packets and self.horizon <= trace.packets[-1].arrival:
             raise ValueError("horizon must extend past the last arrival")
         self._built = False
+
+    def _milp(self, integral: bool, bounds: Optional[Bounds] = None):
+        return milp(
+            c=self.objective,
+            constraints=LinearConstraint(self.A, self.row_lb, self.row_ub),
+            integrality=np.full(self.n_var, int(integral)),
+            bounds=self.bounds if bounds is None else bounds,
+            options={"mip_rel_gap": 0},
+        )
+
+    def _checked(self, res, what: str):
+        if res.status != 0 or res.x is None:
+            raise RuntimeError(f"{type(self).__name__} {what} failed: "
+                               f"status={res.status} message={res.message!r}")
+        return res
+
+    def _attains(self, x: np.ndarray, bound: float) -> bool:
+        """Whether the integral point ``x`` is feasible with objective
+        within :data:`OBJECTIVE_RTOL` of the LP ``bound``."""
+        ax = self.A @ x
+        return bool(
+            np.all(x >= self.bounds.lb) and np.all(x <= self.bounds.ub)
+            and np.all(ax >= self.row_lb) and np.all(ax <= self.row_ub)
+            and self.objective @ x
+            <= bound + OBJECTIVE_RTOL * max(1.0, abs(bound))
+        )
+
+    def solve_lp_relaxation(self) -> float:
+        """Benefit of the LP relaxation (integrality dropped).
+
+        Always an upper bound on the exact optimum, and on most
+        instances equal to it (fractional vertices are rare).
+        """
+        if not self.trace.packets:
+            return 0.0
+        self.build()
+        return float(-self._checked(self._milp(False), "LP relaxation").fun)
+
+    def _certified_point(self) -> np.ndarray:
+        """An optimal point of the MILP, from the first rung that proves it.
+
+        1. ``lp`` — the LP relaxation's vertex, rounded, when it is
+           integral within :data:`INTEGRAL_TOL` and attains the LP bound:
+           an integral point attaining the relaxation's optimum is
+           optimal for the MILP.
+        2. ``restricted`` — the MILP with every packet variable the LP
+           left integral fixed at its LP value, when its optimum attains
+           the LP bound.
+        3. ``milp`` — the full MILP.
+        """
+        self.build()
+        lp = self._checked(self._milp(False), "LP relaxation")
+        x = np.round(lp.x)
+        integral = np.abs(lp.x - x) <= INTEGRAL_TOL
+        if integral.all() and self._attains(x, lp.fun):
+            self.certified_by = "lp"
+            return x
+        a = np.asarray(self.var_a)
+        fixed = a[integral[a]]
+        lower, upper = self.bounds.lb.copy(), self.bounds.ub.copy()
+        lower[fixed] = upper[fixed] = x[fixed]
+        res = self._milp(True, Bounds(lower, upper))
+        if res.status == 0 and res.x is not None:
+            x = np.round(res.x)
+            if self._attains(x, lp.fun):
+                self.certified_by = "restricted"
+                return x
+        self.certified_by = "milp"
+        return self._checked(self._milp(True), "MILP").x
+
+    def _solve(self, extract_schedule: bool) -> OptResult:
+        """Solve to proven optimality.  Each model defines its own
+        ``solve`` over this, so the two can be instrumented apart."""
+        packets = self.trace.packets
+        if not packets:
+            return OptResult(benefit=0.0, n_delivered=0)
+        x = self._certified_point()
+        delivered = [p for p, v in zip(packets, self.var_a) if x[v] > 0.5]
+        result = OptResult(
+            benefit=float(sum(p.value for p in delivered)),
+            n_delivered=len(delivered),
+            accepted_pids=[p.pid for p in delivered],
+        )
+        if extract_schedule:
+            self._schedule(x, result)
+        return result
+
+
+class CIOQOptModel(TimeExpandedModel):
+    """Exact offline optimum for a CIOQ instance via integer programming.
+
+    Variable classes (all integral):
+
+    * ``a_p``    in {0,1} — packet p is accepted *and delivered*,
+    * ``x_ijts`` in {0,1} — a packet moves Q_ij -> Q_j in cycle (t, s),
+    * ``h_ijt``  in [0, b_in]  — VOQ inventory carried from slot t to t+1,
+    * ``g_jt``   in [0, b_out] — output inventory carried from t to t+1,
+    * ``w_jt``   in {0,1} — a transmission from output j in slot t.
+
+    Inventory variables at the final slot are simply not created, which
+    forces OPT to drain by the horizon (the horizon includes a
+    sufficient drain period, so this costs nothing).
+    """
 
     # -- model assembly -------------------------------------------------------
 
@@ -298,69 +411,17 @@ class CIOQOptModel:
 
     # -- solving ----------------------------------------------------------------
 
-    def solve_lp_relaxation(self) -> float:
-        """Benefit of the LP relaxation (integrality dropped).
-
-        Always an upper bound on the exact optimum; on most instances it
-        is *equal* (the constraint matrix is network-flow-like, so
-        fractional vertices are rare) — the diagnostics tests quantify
-        this, which is why the MILP solves fast.
-        """
-        if not self.trace.packets:
-            return 0.0
-        self.build()
-        res = milp(
-            c=self.objective,
-            constraints=LinearConstraint(self.A, self.row_lb, self.row_ub),
-            integrality=np.zeros(self.n_var),
-            bounds=self.bounds,
-        )
-        if res.status != 0 or res.x is None:
-            raise RuntimeError(f"OPT LP relaxation failed: {res.message!r}")
-        return float(-res.fun)
-
     def solve(self, extract_schedule: bool = False) -> OptResult:
         """Solve the model to proven optimality."""
-        if not self.trace.packets:
-            return OptResult(benefit=0.0, n_delivered=0)
-        self.build()
-        res = milp(
-            c=self.objective,
-            constraints=LinearConstraint(self.A, self.row_lb, self.row_ub),
-            integrality=np.ones(self.n_var),
-            bounds=self.bounds,
+        return self._solve(extract_schedule)
+
+    def _schedule(self, x: np.ndarray, result: OptResult) -> None:
+        result.departures = sorted(
+            (t, s, i, j) for (i, j, t, s), v in self.var_x.items() if x[v] > 0.5
         )
-        if res.status != 0 or res.x is None:
-            raise RuntimeError(f"OPT MILP failed: status={res.status} "
-                               f"message={res.message!r}")
-        x = res.x
-        accepted = [
-            self.trace.packets[idx].pid
-            for idx in range(len(self.trace.packets))
-            if x[self.var_a[idx]] > 0.5
-        ]
-        benefit = float(
-            sum(
-                self.trace.packets[idx].value
-                for idx in range(len(self.trace.packets))
-                if x[self.var_a[idx]] > 0.5
-            )
+        result.transmissions = sorted(
+            (t, j) for (j, t), v in self.var_w.items() if x[v] > 0.5
         )
-        result = OptResult(
-            benefit=benefit,
-            n_delivered=len(accepted),
-            accepted_pids=accepted,
-        )
-        if extract_schedule:
-            for (i, j, t, s), v in self.var_x.items():
-                if x[v] > 0.5:
-                    result.departures.append((t, s, i, j))
-            for (j, t), v in self.var_w.items():
-                if x[v] > 0.5:
-                    result.transmissions.append((t, j))
-            result.departures.sort()
-            result.transmissions.sort()
-        return result
 
 
 def cioq_relaxation_bound(

@@ -106,7 +106,8 @@ class TestLPRelaxation:
 
     def test_lp_usually_integral_cioq(self):
         """On small random instances the LP relaxation is typically
-        exact — the reason the MILP solves fast."""
+        exact — why exact OPT usually certifies the LP vertex and skips
+        the MILP (see tests/test_opt_certificate.py)."""
         config = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2)
         equal = 0
         total = 6
