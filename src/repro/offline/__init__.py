@@ -1,7 +1,8 @@
 """Offline optimum substrate: exact OPT and bounds for both switch models."""
 
 from .mcmf import MinCostFlow
-from .timegraph import CIOQOptModel, OptResult, cioq_relaxation_bound, default_horizon
+from .timegraph import (CIOQOptModel, OptResult, cioq_relaxation_bound, default_horizon,
+                        window_drain_slots)
 from .crossbar_timegraph import CrossbarOptModel
 from .bruteforce import bruteforce_cioq_opt_unit
 from .decompose import OptSchedule, PacketItinerary, decompose_cioq_opt
@@ -9,7 +10,6 @@ from .bounds import bounds_opt, capacity_upper_bound, greedy_lower_bound
 from .windowed import (
     subtrace,
     window_boundaries,
-    window_drain_slots,
     windowed_opt,
 )
 from .opt import (

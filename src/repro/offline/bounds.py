@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..simulation.engine import drain_bound
 from ..switch.config import SwitchConfig
 from ..switch.packet import Packet
 from ..traffic.trace import Trace
-from .timegraph import OptResult, default_horizon
+from .timegraph import OptResult
 
 #: Offline models the bound solvers understand.
 _MODELS = ("cioq", "crossbar")
@@ -144,7 +145,8 @@ def capacity_upper_bound(
     slot), so OPT is at most each port-wise relaxation optimum.
     """
     if horizon is None:
-        horizon = default_horizon(trace, config)
+        # The engine horizon, so certified brackets stay where they were.
+        horizon = trace.n_slots + drain_bound(config)
     by_out: Dict[int, List[Packet]] = {}
     by_in: Dict[int, List[Packet]] = {}
     for p in trace.packets:

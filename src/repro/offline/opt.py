@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from ..simulation.engine import drain_bound
 from ..switch.config import SwitchConfig
 from ..traffic.trace import Trace
 from .bounds import bounds_opt
 from .crossbar_timegraph import CrossbarOptModel
-from .timegraph import CIOQOptModel, OptResult, cioq_relaxation_bound
-from .windowed import window_drain_slots, windowed_opt
+from .timegraph import CIOQOptModel, OptResult, cioq_relaxation_bound, window_drain_slots
+from .windowed import windowed_opt
 
 #: Recognised ``mode=`` values, in increasing order of approximation.
 OPT_MODES = ("exact", "windowed", "bounds", "auto")
@@ -69,12 +70,11 @@ def select_opt_mode(
     inside :data:`AUTO_WINDOW_BUDGET` with at most
     :data:`AUTO_MAX_WINDOWS` windows; bounds otherwise.
     """
-    from .timegraph import default_horizon
-
     if not trace.packets:
         return "exact", None
+    # Engine horizon: AUTO_EXACT_BUDGET was calibrated on this proxy.
     if _exact_size_proxy(
-        trace, config, default_horizon(trace, config)
+        trace, config, trace.n_slots + drain_bound(config)
     ) <= AUTO_EXACT_BUDGET:
         return "exact", None
     pairs = len({(p.src, p.dst) for p in trace.packets})

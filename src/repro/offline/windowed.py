@@ -1,13 +1,11 @@
 """Windowed offline optimum with certified stitched bounds.
 
 The exact time-expanded MILP (:mod:`repro.offline.timegraph`) scales
-superlinearly with the horizon, and its safe drain period
-(:func:`repro.simulation.engine.drain_bound`, O(N^2 * b) slots) is added
-to *every* solve — at N = 16 the drain alone is 1345 slots, so the exact
-model is unbuildable long before the arrival horizon gets interesting.
-This module trades exactness for a certified bracket by decomposing the
-arrival timeline into disjoint windows of ``window`` slots and solving
-each window as a fresh, small instance with the *same* exact machinery:
+superlinearly with the horizon, so at large N it is unbuildable long
+before the arrival horizon gets interesting.  This module trades
+exactness for a certified bracket by decomposing the arrival timeline
+into disjoint windows of ``window`` slots and solving each window as a
+fresh, small instance with the *same* exact machinery:
 
 * **Upper bound** — each window is solved with a free drain period after
   its last arrival.  Partition OPT's accepted packets by arrival window;
@@ -26,54 +24,23 @@ With a single window the solver delegates to the exact model verbatim
 reproduces the exact optimum bit for bit — the anchor the differential
 test matrix (``tests/test_opt_equivalence.py``) pins.
 
-Per-window drain: windows use :func:`window_drain_slots`, a drain period
-that is O(N * b) instead of the engine's O(N^2 * b) worst-case bound.
-
-**Drain lemma.**  With no further arrivals, any feasible buffer state of
-either switch model can be fully delivered within ``Delta + b_out + 1``
-slots, where ``Delta <= max(n_in, n_out) * (b_in + b_cross)`` bounds the
-maximum number of buffered packets incident to any one port.  Proof
-sketch: form the bipartite multigraph with one edge (i, j) per buffered
-packet still short of output queue j.  By Koenig's edge-coloring theorem
-it decomposes into ``Delta`` matchings; schedule one matching per slot,
-moving each scheduled packet one stage toward (and into) its output
-queue — for the crossbar a VOQ packet traverses the crosspoint and the
-output subphase within the same cycle when space permits, else the
-crosspoint entry is drained first, so each scheduled edge still lands
-one (i, j) packet in Q_j.  Using at most one entry per output per slot,
-an output queue never exceeds its occupancy bound (it transmits every
-slot it is non-empty), so no entry is ever blocked.  After ``Delta``
-slots every packet sits in its output queue; at most ``b_out`` more
-slots flush the queues.  The equivalence tests cross-validate the lemma
-against the engine's conservative bound on every differential instance.
+Free drain is the exact model's default O(N * b) pad,
+:func:`~repro.offline.timegraph.window_drain_slots`; the drain lemma
+that certifies it (a Koenig edge-coloring argument) is proved in the
+:mod:`repro.offline.timegraph` module docstring.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..switch.config import SwitchConfig
 from ..switch.packet import Packet
 from ..traffic.trace import Trace
 from .crossbar_timegraph import CrossbarOptModel
-from .timegraph import CIOQOptModel, OptResult, default_horizon
+from .timegraph import CIOQOptModel, OptResult
 
 _MODEL_CLASSES = {"cioq": CIOQOptModel, "crossbar": CrossbarOptModel}
-
-
-def window_drain_slots(config: SwitchConfig) -> int:
-    """Drain period used for per-window solves: O(N * b) slots.
-
-    ``max(n_in, n_out) * (b_in + b_cross) + b_out + 1`` always suffices
-    to empty the switch with no further arrivals (Koenig edge-coloring
-    argument; see the module docstring), versus the engine's
-    conservative O(N^2 * b) :func:`~repro.simulation.engine.drain_bound`.
-    """
-    return (
-        max(config.n_in, config.n_out) * (config.b_in + config.b_cross)
-        + config.b_out
-        + 1
-    )
 
 
 def subtrace(trace: Trace, start: int, stop: int) -> Trace:
@@ -140,7 +107,6 @@ def windowed_opt(
             n_windows=1,
         )
 
-    drain = window_drain_slots(config)
     bounds = window_boundaries(trace.n_slots, window)
     lower = 0.0
     upper = 0.0
@@ -150,8 +116,8 @@ def windowed_opt(
         sub = subtrace(trace, start, stop)
         if not sub.packets:
             continue
-        # Free-drain solve: certified per-window upper contribution.
-        up = cls(sub, config, horizon=sub.n_slots + drain).solve()
+        # Free drain (default horizon): certified per-window upper part.
+        up = cls(sub, config).solve()
         if up.status != "optimal":
             status = up.status
         upper += up.benefit
@@ -190,10 +156,3 @@ def windowed_opt(
         n_windows=len(bounds),
     )
 
-
-def windowed_horizon(trace: Trace, config: SwitchConfig,
-                     window: int) -> int:
-    """Horizon the windowed solver effectively covers (for reporting)."""
-    if window >= trace.n_slots:
-        return default_horizon(trace, config)
-    return trace.n_slots + window_drain_slots(config)

@@ -13,6 +13,7 @@ from scipy.optimize import LinearConstraint, OptimizeResult, milp
 from repro.offline.crossbar_timegraph import CrossbarOptModel
 from repro.offline.timegraph import CIOQOptModel, TimeExpandedModel
 from repro.scenarios import get_scenario
+from repro.simulation.engine import drain_bound
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.trace import Trace
@@ -58,16 +59,29 @@ def test_ladder_matches_direct_milp(kind, values):
     assert "lp" in rungs  # the fast path is exercised, not just the fallback
 
 
-def test_pinned_fractional_instance_falls_back():
-    """qos-two-class seed 0: the LP vertex is fractional, so a MILP
-    rung must certify, with the same optimum as the direct solve."""
+def _assert_milp_rung_certifies(seed, engine_horizon=False):
     spec = get_scenario("qos-two-class")
-    trace = spec.build_traffic().generate(spec.slots, seed=0)
-    model = CIOQOptModel(trace, spec.build_config())
+    config = spec.build_config()
+    trace = spec.build_traffic().generate(spec.slots, seed=seed)
+    horizon = trace.n_slots + drain_bound(config) if engine_horizon else None
+    model = CIOQOptModel(trace, config, horizon=horizon)
     res = model.solve()
     assert model.n_var > 1000
     assert model.certified_by in ("restricted", "milp")
     assert res.benefit == direct_benefit(model)
+
+
+def test_pinned_fractional_instance_falls_back():
+    """qos-two-class seed 0 over the engine horizon ``n_slots +
+    drain_bound``: the LP vertex is fractional, so a MILP rung must
+    certify, with the same optimum as the direct solve."""
+    _assert_milp_rung_certifies(0, engine_horizon=True)
+
+
+def test_fractional_instance_at_default_horizon():
+    """qos-two-class seed 2 stays fractional over the default (drain
+    lemma) horizon."""
+    _assert_milp_rung_certifies(2)
 
 
 def _fractional_lp(monkeypatch, bound_shift):

@@ -8,13 +8,15 @@ every builtin scenario (downscaled so exact OPT stays cheap):
   and must reproduce its benefit **bit-for-bit** (no tolerance);
 * every certified bracket — windowed with a proper window, and the
   near-free bounds mode — must sandwich the exact optimum;
-* the drain lemma behind the per-window horizons
-  (:func:`~repro.offline.windowed.window_drain_slots`) is validated
-  differentially: truncating the global horizon to
-  ``n_slots + window_drain_slots(config)`` must not change exact OPT;
+* the drain lemma behind the exact models' default horizon
+  (:func:`~repro.offline.timegraph.window_drain_slots`) is validated
+  differentially: exact OPT over ``n_slots + window_drain_slots(config)``
+  must equal exact OPT over the engine's much longer
+  ``n_slots + drain_bound(config)``, for both switch models;
 * :func:`~repro.offline.opt.solve_opt` dispatch and
   :func:`~repro.offline.opt.select_opt_mode` auto-selection are pinned
-  (mode validation, exact-for-small, deterministic selection).
+  (mode validation, exact-for-small, deterministic selection, and the
+  engine-horizon size proxy auto mode was calibrated on).
 
 Scenarios are downscaled to 6 arrival slots with small buffers so each
 MILP solves in milliseconds; the *structure* (switch shape, traffic
@@ -25,20 +27,27 @@ import pytest
 
 from repro.offline import (
     OPT_MODES,
+    CIOQOptModel,
+    CrossbarOptModel,
     bounds_opt,
+    capacity_upper_bound,
     cioq_opt,
     crossbar_opt,
     select_opt_mode,
     solve_opt,
+    window_drain_slots,
     windowed_opt,
 )
 from repro.offline.opt import AUTO_EXACT_BUDGET, _exact_size_proxy
 from repro.offline.timegraph import default_horizon
-from repro.offline.windowed import window_drain_slots
 from repro.scenarios import all_scenarios
+from repro.simulation.engine import drain_bound
 from repro.switch.config import SwitchConfig
 from repro.switch.packet import Packet
+from repro.traffic.bernoulli import BernoulliTraffic
+from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.trace import Trace
+from repro.traffic.values import pareto_values, uniform_values
 
 #: Downscaled arrival horizon: small enough that exact OPT on every
 #: builtin scenario solves in milliseconds, large enough that windows
@@ -123,41 +132,65 @@ class TestDifferentialMatrix:
         assert via.mode == "exact"
 
 
+DRAIN_MODELS = {"cioq": CIOQOptModel, "crossbar": CrossbarOptModel}
+DRAIN_VALUES = {"uniform": lambda: uniform_values(1, 9),
+                "pareto": pareto_values}
+
+
 class TestDrainLemma:
-    """The per-window horizon pad is sufficient: cutting the global
-    horizon down to ``n_slots + window_drain_slots(config)`` never
-    changes exact OPT (the certified drain lemma, tested
-    differentially against the much larger default drain bound)."""
+    """The exact models' default horizon is sufficient: exact OPT over
+    ``n_slots + window_drain_slots(config)`` (the O(N * b) drain lemma)
+    equals exact OPT over the engine's O(N^2 * b)
+    ``n_slots + drain_bound(config)``, on both switch models."""
 
     CONFIGS = [
         SwitchConfig.square(2, speedup=1, b_in=1, b_out=1, b_cross=1),
         SwitchConfig.square(3, speedup=1, b_in=2, b_out=2, b_cross=1),
         SwitchConfig.square(3, speedup=2, b_in=2, b_out=1, b_cross=2),
     ]
+    #: Incast overload: ~3.6 packets per slot aimed at output 0.
+    INCAST = SwitchConfig.square(4, speedup=1, b_in=2, b_out=1, b_cross=1)
+
+    @staticmethod
+    def _assert_drain_preserves_opt(kind, trace, config):
+        short = DRAIN_MODELS[kind](trace, config)
+        assert short.horizon == trace.n_slots + window_drain_slots(config)
+        engine = DRAIN_MODELS[kind](
+            trace, config, horizon=trace.n_slots + drain_bound(config))
+        assert short.horizon < engine.horizon
+        assert short.solve().benefit == engine.solve().benefit
 
     @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("values", sorted(DRAIN_VALUES))
     @pytest.mark.parametrize(
         "config", CONFIGS, ids=lambda c: f"{c.n_in}x{c.n_out}s{c.speedup}"
     )
-    def test_drain_horizon_preserves_opt(self, config, seed):
-        from repro.traffic.bernoulli import BernoulliTraffic
-        from repro.traffic.values import uniform_values
-
+    @pytest.mark.parametrize("kind", sorted(DRAIN_MODELS))
+    def test_drain_horizon_preserves_opt(self, kind, config, values, seed):
         trace = BernoulliTraffic(
             config.n_in, config.n_out, load=1.5,
-            value_model=uniform_values(1, 9),
+            value_model=DRAIN_VALUES[values](),
         ).generate(5, seed=seed)
-        short = trace.n_slots + window_drain_slots(config)
-        assert short <= default_horizon(trace, config)
-        full = cioq_opt(trace, config)
-        cut = cioq_opt(trace, config, horizon=short)
-        assert cut.benefit == full.benefit
+        self._assert_drain_preserves_opt(kind, trace, config)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("values", sorted(DRAIN_VALUES))
+    @pytest.mark.parametrize("kind", sorted(DRAIN_MODELS))
+    def test_drain_horizon_preserves_opt_under_incast(self, kind, values,
+                                                      seed):
+        config = self.INCAST
+        trace = HotspotTraffic(
+            config.n_in, config.n_out, load=1.0, hot_fraction=0.9,
+            value_model=DRAIN_VALUES[values](),
+        ).generate(6, seed=seed)
+        self._assert_drain_preserves_opt(kind, trace, config)
 
     def test_drain_slots_below_default_bound(self):
-        for config in self.CONFIGS:
+        for config in self.CONFIGS + [self.INCAST]:
+            assert window_drain_slots(config) < drain_bound(config)
             trace = Trace([], config.n_in, config.n_out)
-            assert (trace.n_slots + window_drain_slots(config)
-                    <= default_horizon(trace, config))
+            assert (default_horizon(trace, config)
+                    == trace.n_slots + window_drain_slots(config))
 
 
 class TestDispatchAndSelection:
@@ -194,6 +227,47 @@ class TestDispatchAndSelection:
             assert first[0] in OPT_MODES and first[0] != "auto"
             if first[0] == "windowed":
                 assert first[1] is not None and first[1] >= 1
+
+    #: ``select_opt_mode`` per (n, slots, all pairs active), recorded
+    #: with the exact models on the engine horizon ``n_slots +
+    #: drain_bound``: auto sizes the exact model on that horizon, so the
+    #: exact models' shorter one must not move a single choice.
+    AUTO_TABLE = {
+        (2, 4, False): ("exact", None),
+        (4, 64, False): ("exact", None),
+        (8, 512, False): ("exact", None),
+        (16, 4096, False): ("exact", None),
+        (4, 64, True): ("exact", None),
+        (8, 16, True): ("windowed", 48),
+        (8, 64, True): ("windowed", 48),
+        (8, 512, True): ("windowed", 48),
+        (16, 64, True): ("bounds", None),
+    }
+
+    def test_auto_selection_table_is_pinned(self):
+        for (n, slots, all_pairs), expected in self.AUTO_TABLE.items():
+            config = SwitchConfig.square(n, speedup=2, b_in=4, b_out=4)
+            # Every pair arrives at slot 0, except (0, 0) at slot-1.
+            pairs = ([(i, j) for i in range(n) for j in range(n)]
+                     if all_pairs else [(0, 0)])
+            packets = sorted(
+                (Packet(n * i + j, 1.0, slots - 1 if (i, j) == (0, 0) else 0,
+                        i, j) for i, j in pairs),
+                key=lambda p: (p.arrival, p.pid))
+            trace = Trace(packets, n, n)
+            assert select_opt_mode(trace, config) == expected, (n, slots)
+
+    def test_capacity_bound_keeps_engine_horizon(self):
+        # Incast of 30 packets on output 0: the capacity bound is
+        # horizon-limited, so the default horizon would lower it.
+        config = SwitchConfig.square(4, speedup=1, b_in=1, b_out=1, b_cross=1)
+        trace = Trace([Packet(k, 1.0 + k % 3, 0, k % 4, 0)
+                       for k in range(30)], 4, 4)
+        engine = trace.n_slots + drain_bound(config)
+        assert capacity_upper_bound(trace, config) == 60.0
+        assert capacity_upper_bound(trace, config, horizon=engine) == 60.0
+        assert capacity_upper_bound(
+            trace, config, horizon=default_horizon(trace, config)) < 60.0
 
     def test_proxy_threshold_respected(self):
         config = SwitchConfig.square(16, speedup=2, b_in=4, b_out=4)
