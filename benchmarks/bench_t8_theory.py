@@ -20,6 +20,7 @@ from repro.core.cgu import CGUPolicy
 from repro.core.gm import GMPolicy
 from repro.offline.crossbar_timegraph import CrossbarOptModel
 from repro.offline.opt import cioq_opt
+from repro.offline.timegraph import default_horizon
 from repro.simulation.engine import run_cioq, run_crossbar
 from repro.switch.config import SwitchConfig
 from repro.theory.ratios import verify_paper_constants
@@ -98,7 +99,8 @@ def compute_cgu_certificates():
         cfg = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2, b_cross=1)
         trace = BernoulliTraffic(3, 3, load=load).generate(14, seed=seed)
         cgu = run_crossbar(CGUPolicy(), cfg, trace, record=True)
-        model = CrossbarOptModel(trace, cfg)
+        model = CrossbarOptModel(trace, cfg,
+                                 horizon=default_horizon(trace, cfg))
         opt = model.solve(extract_schedule=True)
         cert = replay_cgu_shadow(trace, cfg, cgu, model, opt)
         rows.append({
@@ -204,7 +206,8 @@ def compute_cpg_certificates():
                                  value_model=values).generate(12, seed=seed)
         cpg = run_crossbar(CPGPolicy(beta=beta, alpha=alpha), cfg, trace,
                            record=True)
-        model = CrossbarOptModel(trace, cfg)
+        model = CrossbarOptModel(trace, cfg,
+                                 horizon=default_horizon(trace, cfg))
         opt = model.solve(extract_schedule=True)
         cert = replay_cpg_shadow(trace, cfg, cpg, model, opt, beta, alpha)
         rows.append({

@@ -31,6 +31,7 @@ All ties are broken deterministically by packet id (Assumption A3).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from ..scheduling.base import ArrivalDecision, CrossbarPolicy
@@ -57,9 +58,9 @@ class CPGPolicy(CrossbarPolicy):
         beta_star, alpha_star, _ = cpg_optimal_params()
         self.beta = float(beta) if beta is not None else beta_star
         self.alpha = float(alpha) if alpha is not None else alpha_star
-        if self.beta < 1.0 or self.alpha < 1.0:
+        if not all(math.isfinite(t) and t >= 1.0 for t in (self.beta, self.alpha)):
             raise ValueError(
-                f"thresholds must be >= 1, got beta={self.beta}, alpha={self.alpha}"
+                f"thresholds must be finite and >= 1, got beta={self.beta}, alpha={self.alpha}"
             )
         self.name = f"CPG(beta={self.beta:.4g}, alpha={self.alpha:.4g})"
 

@@ -54,8 +54,8 @@ class PGPolicy(CIOQPolicy):
     """
 
     def __init__(self, beta: float = BETA_STAR, stats: Optional[MatchingStats] = None):
-        if beta < 1.0:
-            raise ValueError(f"beta must be >= 1, got {beta}")
+        if not (math.isfinite(beta) and beta >= 1.0):
+            raise ValueError(f"beta must be finite and >= 1, got {beta}")
         self.beta = float(beta)
         self.stats = stats
         self.name = f"PG(beta={self.beta:.4g})"

@@ -13,13 +13,20 @@ capacity constraint is ``carry_in + y <= B(C_ij)`` per cycle.
 
 Variable classes (all integral):
 
-* ``a_p``    in {0,1}        — packet p accepted and delivered,
+* ``a_p``    in {0,1}        — packet p accepted and either transmitted
+  or still buffered at the end of the last slot,
 * ``y_ijts`` in {0,1}        — input-subphase transfer Q_ij -> C_ij,
 * ``z_ijts`` in {0,1}        — output-subphase transfer C_ij -> Q_j,
 * ``h_ijt``  in [0, b_in]    — VOQ inventory slot t -> t+1,
 * ``cc_ijts`` in [0, b_cross] — crosspoint inventory cycle -> next cycle,
 * ``g_jt``   in [0, b_out]   — output inventory slot t -> t+1,
 * ``w_jt``   in {0,1}        — transmission from output j in slot t.
+
+As in the CIOQ model, the open-ended model (no explicit horizon) keeps
+the final slot's ``h`` and ``g`` and the last cycle's ``cc`` for what is
+still buffered, which the drain lemma delivers; an explicit horizon
+leaves them out, forcing OPT to drain by it (``a_p`` then means
+delivered).
 """
 
 from __future__ import annotations
@@ -76,18 +83,18 @@ class CrossbarOptModel(TimeExpandedModel):
                 n_var += 1
                 self.var_z[(i, j, t, s)] = n_var
                 n_var += 1
-                if not (t == H - 1 and s == S - 1):
+                if self.open_ended or not (t == H - 1 and s == S - 1):
                     self.var_cc[(i, j, t, s)] = n_var
                     n_var += 1
         self.var_h: Dict[Tuple[int, int, int], int] = {}
         for (i, j), t0 in first_arrival.items():
-            for t in range(t0, H - 1):
+            for t in range(t0, self.carry_end):
                 self.var_h[(i, j, t)] = n_var
                 n_var += 1
         self.var_g: Dict[Tuple[int, int], int] = {}
         self.var_w: Dict[Tuple[int, int], int] = {}
         for j, t0 in out_first.items():
-            for t in range(t0, H - 1):
+            for t in range(t0, self.carry_end):
                 self.var_g[(j, t)] = n_var
                 n_var += 1
             for t in range(t0, H):
@@ -237,7 +244,8 @@ class CrossbarOptModel(TimeExpandedModel):
         self._built = True
 
     def solve(self, extract_schedule: bool = False) -> OptResult:
-        """Solve to proven optimality."""
+        """Solve to proven optimality; ``extract_schedule`` needs an
+        explicit horizon."""
         return self._solve(extract_schedule)
 
     def _schedule(self, x: np.ndarray, result: OptResult) -> None:

@@ -27,7 +27,8 @@ from ..switch.config import SwitchConfig
 from ..traffic.trace import Trace
 from .bounds import bounds_opt
 from .crossbar_timegraph import CrossbarOptModel
-from .timegraph import CIOQOptModel, OptResult, cioq_relaxation_bound, window_drain_slots
+from .timegraph import (CIOQOptModel, OptResult, cioq_relaxation_bound,
+                        default_horizon, window_drain_slots)
 from .windowed import windowed_opt
 
 #: Recognised ``mode=`` values, in increasing order of approximation.
@@ -108,6 +109,9 @@ def solve_opt(
         mode, window = select_opt_mode(trace, config, window=window)
     if mode == "exact":
         cls = CIOQOptModel if model == "cioq" else CrossbarOptModel
+        if horizon is None and extract_schedule:
+            # Schedules must be complete: drain within the default horizon.
+            horizon = default_horizon(trace, config)
         return cls(trace, config, horizon=horizon).solve(
             extract_schedule=extract_schedule
         )

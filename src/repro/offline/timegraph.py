@@ -46,10 +46,22 @@ an output queue never exceeds its occupancy bound (it transmits every
 slot it is non-empty), so no entry is ever blocked.  After ``Delta``
 slots every packet sits in its output queue; at most ``b_out`` more
 slots flush the queues.  Hence OPT never needs more than
-:func:`window_drain_slots` slots after the last arrival slot, and
-:func:`default_horizon` pads with that O(N * b) period instead of the
-engine's O(N^2 * b) :func:`~repro.simulation.engine.drain_bound`.  The
-equivalence tests cross-validate the lemma against the engine bound.
+:func:`window_drain_slots` slots after the last arrival slot
+(:func:`default_horizon`), instead of the engine's O(N^2 * b)
+:func:`~repro.simulation.engine.drain_bound`.
+
+**Open end.**  By the same lemma no drain slots are needed at all.
+Without an explicit horizon both exact models end at the last arrival
+slot (``horizon = trace.n_slots``) and keep the final-slot inventories
+as variables bounded by the buffer capacities; a packet counts once it
+is transmitted or still buffered at the end.  Transmitting whenever an
+output queue is non-empty never hurts a schedule (a work-conserving
+output queue is never longer), so every final state can be taken as
+one the lemma drains, and this OPT equals OPT drained over any longer
+horizon.  An explicit ``horizon=H`` keeps meaning "drain by H", and
+schedule extraction needs it: the open-ended model does not say when
+its final inventories leave.  The equivalence tests cross-validate the
+open end against both drained horizons.
 """
 
 from __future__ import annotations
@@ -137,8 +149,8 @@ def window_drain_slots(config: SwitchConfig) -> int:
 
 def default_horizon(trace: Trace, config: SwitchConfig) -> int:
     """Arrival slots plus :func:`window_drain_slots`: by the drain lemma
-    (proved in this module's docstring) OPT over this horizon equals OPT
-    over any longer one."""
+    (proved in this module's docstring) OPT drained over this horizon
+    equals OPT over any longer one.  Schedule extraction builds over it."""
     return trace.n_slots + window_drain_slots(config)
 
 
@@ -174,12 +186,19 @@ class TimeExpandedModel:
             raise ValueError("trace/config dimension mismatch")
         self.trace = trace
         self.config = config
-        self.horizon = horizon if horizon is not None else default_horizon(
-            trace, config
-        )
+        #: No explicit horizon: end at the last arrival slot and keep the
+        #: final inventories (see "Open end" in the module docstring).
+        self.open_ended = horizon is None
+        self.horizon = trace.n_slots if horizon is None else horizon
         if trace.packets and self.horizon <= trace.packets[-1].arrival:
             raise ValueError("horizon must extend past the last arrival")
         self._built = False
+
+    @property
+    def carry_end(self) -> int:
+        """Slots ``t < carry_end`` carry inventory past their end; a
+        drained model's last slot carries none."""
+        return self.horizon if self.open_ended else self.horizon - 1
 
     def _milp(self, integral: bool, bounds: Optional[Bounds] = None):
         return milp(
@@ -253,6 +272,12 @@ class TimeExpandedModel:
     def _solve(self, extract_schedule: bool) -> OptResult:
         """Solve to proven optimality.  Each model defines its own
         ``solve`` over this, so the two can be instrumented apart."""
+        if extract_schedule and self.open_ended:
+            raise ValueError(
+                "schedule extraction needs a drained model: pass horizon="
+                f"{default_horizon(self.trace, self.config)} "
+                "(default_horizon(trace, config))"
+            )
         packets = self.trace.packets
         if not packets:
             return OptResult(benefit=0.0, n_delivered=0)
@@ -273,15 +298,17 @@ class CIOQOptModel(TimeExpandedModel):
 
     Variable classes (all integral):
 
-    * ``a_p``    in {0,1} — packet p is accepted *and delivered*,
+    * ``a_p``    in {0,1} — packet p is accepted and either transmitted
+      or still buffered at the end of the last slot,
     * ``x_ijts`` in {0,1} — a packet moves Q_ij -> Q_j in cycle (t, s),
     * ``h_ijt``  in [0, b_in]  — VOQ inventory carried from slot t to t+1,
     * ``g_jt``   in [0, b_out] — output inventory carried from t to t+1,
     * ``w_jt``   in {0,1} — a transmission from output j in slot t.
 
-    Inventory variables at the final slot are simply not created, which
-    forces OPT to drain by the horizon (the horizon includes a
-    sufficient drain period, so this costs nothing).
+    Open-ended (no explicit horizon), the final slot's ``h`` and ``g``
+    hold what is still buffered, which the drain lemma delivers.  With
+    an explicit horizon they are simply not created, which forces OPT
+    to drain by it, so ``a_p`` means delivered.
     """
 
     # -- model assembly -------------------------------------------------------
@@ -321,13 +348,13 @@ class CIOQOptModel(TimeExpandedModel):
                     n_var += 1
         self.var_h: Dict[Tuple[int, int, int], int] = {}
         for (i, j), t0 in first_arrival.items():
-            for t in range(t0, H - 1):
+            for t in range(t0, self.carry_end):
                 self.var_h[(i, j, t)] = n_var
                 n_var += 1
         self.var_g: Dict[Tuple[int, int], int] = {}
         self.var_w: Dict[Tuple[int, int], int] = {}
         for j, t0 in out_first.items():
-            for t in range(t0, H - 1):
+            for t in range(t0, self.carry_end):
                 self.var_g[(j, t)] = n_var
                 n_var += 1
             for t in range(t0, H):
@@ -448,7 +475,8 @@ class CIOQOptModel(TimeExpandedModel):
     # -- solving ----------------------------------------------------------------
 
     def solve(self, extract_schedule: bool = False) -> OptResult:
-        """Solve the model to proven optimality."""
+        """Solve the model to proven optimality; ``extract_schedule``
+        needs an explicit horizon."""
         return self._solve(extract_schedule)
 
     def _schedule(self, x: np.ndarray, result: OptResult) -> None:

@@ -24,10 +24,12 @@ With a single window the solver delegates to the exact model verbatim
 reproduces the exact optimum bit for bit — the anchor the differential
 test matrix (``tests/test_opt_equivalence.py``) pins.
 
-Free drain is the exact model's default O(N * b) pad,
-:func:`~repro.offline.timegraph.window_drain_slots`; the drain lemma
-that certifies it (a Koenig edge-coloring argument) is proved in the
-:mod:`repro.offline.timegraph` module docstring.
+Free drain is the exact model's default open end: a window's model
+ends at its last arrival slot with bounded final inventories, and the
+drain lemma (a Koenig edge-coloring argument, proved in the
+:mod:`repro.offline.timegraph` module docstring) delivers what is still
+buffered within :func:`~repro.offline.timegraph.window_drain_slots`
+more slots.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def windowed_opt(
     Returns an :class:`OptResult` with ``mode="windowed"``,
     ``benefit = opt_upper`` and the stitched ``(opt_lower, opt_upper)``
     bracket.  With ``window >= trace.n_slots`` the result is the exact
-    optimum, computed by the exact model with its default horizon.
+    optimum, computed by the default (open-ended) exact model.
     """
     if model not in _MODEL_CLASSES:
         raise ValueError(
@@ -116,7 +118,7 @@ def windowed_opt(
         sub = subtrace(trace, start, stop)
         if not sub.packets:
             continue
-        # Free drain (default horizon): certified per-window upper part.
+        # Free drain (open end): certified per-window upper part.
         up = cls(sub, config).solve()
         if up.status != "optimal":
             status = up.status

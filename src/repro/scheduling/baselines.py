@@ -23,6 +23,7 @@ algorithm so that differences isolate the *scheduling phase*.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from ..switch.cioq import CIOQSwitch, Transfer
@@ -83,8 +84,8 @@ class MaxWeightMatchPolicy(CIOQPolicy):
 
     def __init__(self, beta: float = 1.0 + 2.0 ** 0.5,
                  stats: Optional[MatchingStats] = None):
-        if beta < 1.0:
-            raise ValueError(f"beta must be >= 1, got {beta}")
+        if not (math.isfinite(beta) and beta >= 1.0):
+            raise ValueError(f"beta must be finite and >= 1, got {beta}")
         self.beta = float(beta)
         self.stats = stats
         self.name = f"MaxWeightMatch(beta={self.beta:.4g})"

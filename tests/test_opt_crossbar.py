@@ -93,9 +93,12 @@ class TestStructuralProperties:
 
     def test_schedule_extraction(self, small_config):
         from repro.offline.crossbar_timegraph import CrossbarOptModel
+        from repro.offline.timegraph import default_horizon
 
         trace = BernoulliTraffic(3, 3, load=1.0).generate(6, seed=1)
-        model = CrossbarOptModel(trace, small_config)
+        model = CrossbarOptModel(
+            trace, small_config,
+            horizon=default_horizon(trace, small_config))
         res = model.solve(extract_schedule=True)
         assert len(model.y_events) == res.n_delivered
         assert len(model.z_events) == res.n_delivered

@@ -8,11 +8,14 @@ every builtin scenario (downscaled so exact OPT stays cheap):
   and must reproduce its benefit **bit-for-bit** (no tolerance);
 * every certified bracket — windowed with a proper window, and the
   near-free bounds mode — must sandwich the exact optimum;
-* the drain lemma behind the exact models' default horizon
+* the drain lemma behind the exact models' open end
   (:func:`~repro.offline.timegraph.window_drain_slots`) is validated
-  differentially: exact OPT over ``n_slots + window_drain_slots(config)``
-  must equal exact OPT over the engine's much longer
-  ``n_slots + drain_bound(config)``, for both switch models;
+  differentially: exact OPT over the arrival slots with bounded final
+  inventories must equal exact OPT drained over
+  ``n_slots + window_drain_slots(config)`` and over the engine's much
+  longer ``n_slots + drain_bound(config)``, for both switch models;
+* schedule extraction keeps the drained horizon, and extracted schedules
+  and windowed brackets are pinned to literal values;
 * :func:`~repro.offline.opt.solve_opt` dispatch and
   :func:`~repro.offline.opt.select_opt_mode` auto-selection are pinned
   (mode validation, exact-for-small, deterministic selection, and the
@@ -47,7 +50,7 @@ from repro.switch.packet import Packet
 from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.trace import Trace
-from repro.traffic.values import pareto_values, uniform_values
+from repro.traffic.values import pareto_values, two_value, uniform_values
 
 #: Downscaled arrival horizon: small enough that exact OPT on every
 #: builtin scenario solves in milliseconds, large enough that windows
@@ -138,9 +141,10 @@ DRAIN_VALUES = {"uniform": lambda: uniform_values(1, 9),
 
 
 class TestDrainLemma:
-    """The exact models' default horizon is sufficient: exact OPT over
-    ``n_slots + window_drain_slots(config)`` (the O(N * b) drain lemma)
-    equals exact OPT over the engine's O(N^2 * b)
+    """The drain lemma makes the open end exact: the default model ends
+    at the last arrival slot and keeps its final inventories, and its
+    OPT equals OPT drained over ``n_slots + window_drain_slots(config)``
+    (the O(N * b) lemma horizon) and over the engine's O(N^2 * b)
     ``n_slots + drain_bound(config)``, on both switch models."""
 
     CONFIGS = [
@@ -153,12 +157,18 @@ class TestDrainLemma:
 
     @staticmethod
     def _assert_drain_preserves_opt(kind, trace, config):
-        short = DRAIN_MODELS[kind](trace, config)
-        assert short.horizon == trace.n_slots + window_drain_slots(config)
-        engine = DRAIN_MODELS[kind](
-            trace, config, horizon=trace.n_slots + drain_bound(config))
-        assert short.horizon < engine.horizon
-        assert short.solve().benefit == engine.solve().benefit
+        cls = DRAIN_MODELS[kind]
+        open_end = cls(trace, config)
+        assert open_end.open_ended and open_end.horizon == trace.n_slots
+        lemma = cls(trace, config,
+                    horizon=trace.n_slots + window_drain_slots(config))
+        engine = cls(trace, config,
+                     horizon=trace.n_slots + drain_bound(config))
+        assert not lemma.open_ended and not engine.open_ended
+        assert lemma.horizon == default_horizon(trace, config)
+        assert lemma.horizon < engine.horizon
+        benefit = open_end.solve().benefit
+        assert benefit == lemma.solve().benefit == engine.solve().benefit
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("values", sorted(DRAIN_VALUES))
@@ -191,6 +201,102 @@ class TestDrainLemma:
             trace = Trace([], config.n_in, config.n_out)
             assert (default_horizon(trace, config)
                     == trace.n_slots + window_drain_slots(config))
+
+
+#: A 2x2 two-value overload whose OPT schedule drains past the arrivals.
+SCHEDULE_CONFIG = SwitchConfig.square(2, speedup=1, b_in=1, b_out=1,
+                                      b_cross=1)
+
+
+def _schedule_trace():
+    return BernoulliTraffic(
+        2, 2, load=1.5, value_model=two_value(10.0, 0.3)).generate(4, seed=3)
+
+
+class TestScheduleExtraction:
+    """Schedules are only read from drained models."""
+
+    #: ``(accepted_pids, departures, transmissions)`` per model, recorded
+    #: while the default exact model was still drained over
+    #: ``n_slots + window_drain_slots``.
+    PINNED = {
+        "cioq": (
+            [0, 2, 4, 6, 7, 8, 9, 10, 12],
+            [(0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (1, 0, 1, 0),
+             (2, 0, 1, 0), (3, 0, 0, 1), (3, 0, 1, 0), (6, 0, 1, 1),
+             (7, 0, 0, 0)],
+            [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 0), (3, 1),
+             (6, 1), (7, 0)],
+        ),
+        "crossbar": (
+            [0, 2, 4, 6, 7, 8, 9, 10, 12],
+            [(0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (1, 0, 1, 0),
+             (2, 0, 1, 0), (3, 0, 0, 1), (3, 0, 1, 0), (9, 0, 0, 0),
+             (9, 0, 1, 1)],
+            [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 0), (3, 1),
+             (9, 0), (9, 1)],
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DRAIN_MODELS))
+    def test_open_ended_model_refuses_extraction(self, kind):
+        trace = _schedule_trace()
+        model = DRAIN_MODELS[kind](trace, SCHEDULE_CONFIG)
+        horizon = default_horizon(trace, SCHEDULE_CONFIG)
+        with pytest.raises(ValueError, match=f"horizon={horizon} "):
+            model.solve(extract_schedule=True)
+
+    @pytest.mark.parametrize("kind", sorted(DRAIN_MODELS))
+    def test_solve_opt_extracts_over_default_horizon(self, kind):
+        trace = _schedule_trace()
+        res = solve_opt(trace, SCHEDULE_CONFIG, model=kind,
+                        extract_schedule=True)
+        assert len(res.transmissions) == res.n_delivered
+        assert res.benefit == solve_opt(trace, SCHEDULE_CONFIG,
+                                        model=kind).benefit
+        assert (res.accepted_pids, res.departures,
+                res.transmissions) == self.PINNED[kind]
+        assert max(t for t, _ in res.transmissions) >= trace.n_slots
+
+
+class TestWindowedBracketsPinned:
+    """The windowed solver's free-drain windows are open-ended; its
+    brackets must not move."""
+
+    CONFIGS = {
+        "s1": SwitchConfig.square(3, speedup=1, b_in=2, b_out=1, b_cross=1),
+        "s2": SwitchConfig.square(3, speedup=2, b_in=1, b_out=2, b_cross=1),
+    }
+    #: ``(opt_lower, opt_upper)`` per (model, config, seed, window),
+    #: recorded while free-drain windows were drained over
+    #: ``n_slots + window_drain_slots``.
+    BRACKETS = {
+        ("cioq", "s1", 0, 2): (95.0, 98.0),
+        ("cioq", "s1", 0, 3): (95.0, 98.0),
+        ("cioq", "s1", 1, 2): (120.0, 128.0),
+        ("cioq", "s1", 1, 3): (120.0, 127.0),
+        ("cioq", "s2", 0, 2): (93.0, 95.0),
+        ("cioq", "s2", 0, 3): (93.0, 95.0),
+        ("cioq", "s2", 1, 2): (119.0, 123.0),
+        ("cioq", "s2", 1, 3): (119.0, 123.0),
+        ("crossbar", "s1", 0, 2): (94.0, 98.0),
+        ("crossbar", "s1", 0, 3): (94.0, 98.0),
+        ("crossbar", "s1", 1, 2): (119.0, 128.0),
+        ("crossbar", "s1", 1, 3): (119.0, 128.0),
+        ("crossbar", "s2", 0, 2): (94.0, 95.0),
+        ("crossbar", "s2", 0, 3): (94.0, 95.0),
+        ("crossbar", "s2", 1, 2): (122.0, 123.0),
+        ("crossbar", "s2", 1, 3): (122.0, 123.0),
+    }
+
+    def test_brackets_are_pinned(self):
+        for (kind, cid, seed, window), expected in self.BRACKETS.items():
+            trace = BernoulliTraffic(
+                3, 3, load=1.6, value_model=two_value(10.0, 0.3),
+            ).generate(8, seed=seed)
+            res = windowed_opt(trace, self.CONFIGS[cid], window=window,
+                               model=kind)
+            assert res.bracket == expected, (kind, cid, seed, window)
 
 
 class TestDispatchAndSelection:

@@ -1,5 +1,7 @@
 """Unit tests for the Crossbar Preemptive Greedy (CPG) policy — Sec 3.2."""
 
+import math
+
 import pytest
 
 from repro.core.cpg import CPGPolicy
@@ -33,6 +35,12 @@ class TestConstruction:
             CPGPolicy(beta=0.9)
         with pytest.raises(ValueError):
             CPGPolicy(alpha=0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["beta", "alpha"])
+    def test_rejects_non_finite_thresholds(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            CPGPolicy(**{name: value})
 
 
 class TestInputSubphase:

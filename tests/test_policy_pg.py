@@ -1,8 +1,11 @@
 """Unit tests for the Preemptive Greedy (PG) policy — Section 2.2."""
 
+import math
+
 import pytest
 
 from repro.core.pg import BETA_STAR, PGPolicy
+from repro.scheduling.baselines import MaxWeightMatchPolicy
 from repro.simulation.engine import run_cioq
 from repro.switch.cioq import CIOQSwitch
 from repro.switch.config import SwitchConfig
@@ -28,6 +31,12 @@ class TestConstruction:
     def test_rejects_beta_below_one(self):
         with pytest.raises(ValueError):
             PGPolicy(beta=0.5)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("policy", [PGPolicy, MaxWeightMatchPolicy])
+    def test_rejects_non_finite_beta(self, policy, beta):
+        with pytest.raises(ValueError, match="finite"):
+            policy(beta=beta)
 
     def test_name_includes_beta(self):
         assert "2.414" in PGPolicy().name

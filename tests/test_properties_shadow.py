@@ -17,6 +17,7 @@ from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
 from repro.offline.crossbar_timegraph import CrossbarOptModel
 from repro.offline.opt import cioq_opt
+from repro.offline.timegraph import default_horizon
 from repro.simulation.engine import run_cioq, run_crossbar
 from repro.switch.config import SwitchConfig
 from repro.switch.packet import Packet
@@ -87,7 +88,8 @@ class TestFuzzedShadows:
     def test_cgu_shadow_never_violates(self, inst):
         config, trace = inst
         cgu = run_crossbar(CGUPolicy(), config, trace, record=True)
-        model = CrossbarOptModel(trace, config)
+        model = CrossbarOptModel(trace, config,
+                                 horizon=default_horizon(trace, config))
         opt = model.solve(extract_schedule=True)
         cert = replay_cgu_shadow(trace, config, cgu, model, opt)
         assert cert.theorem3_certified

@@ -6,6 +6,7 @@ from repro.core.cgu import CGUPolicy
 from repro.core.gm import GMPolicy
 from repro.offline.crossbar_timegraph import CrossbarOptModel
 from repro.offline.opt import cioq_opt
+from repro.offline.timegraph import default_horizon
 from repro.simulation.engine import run_cioq, run_crossbar
 from repro.switch.config import SwitchConfig
 from repro.theory.shadow import replay_cgu_shadow, replay_gm_shadow
@@ -26,7 +27,8 @@ def gm_certificate(trace, config):
 
 def cgu_certificate(trace, config):
     cgu = run_crossbar(CGUPolicy(), config, trace, record=True)
-    model = CrossbarOptModel(trace, config)
+    model = CrossbarOptModel(trace, config,
+                             horizon=default_horizon(trace, config))
     opt = model.solve(extract_schedule=True)
     return replay_cgu_shadow(trace, config, cgu, model, opt)
 

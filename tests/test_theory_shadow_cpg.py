@@ -5,6 +5,7 @@ import pytest
 from repro.core.cpg import CPGPolicy
 from repro.core.params import cpg_optimal_params, cpg_ratio
 from repro.offline.crossbar_timegraph import CrossbarOptModel
+from repro.offline.timegraph import default_horizon
 from repro.simulation.engine import run_crossbar
 from repro.switch.config import SwitchConfig
 from repro.theory.shadow_cpg import replay_cpg_shadow
@@ -17,7 +18,8 @@ def certificate(trace, config, beta, alpha):
     cpg = run_crossbar(
         CPGPolicy(beta=beta, alpha=alpha), config, trace, record=True
     )
-    model = CrossbarOptModel(trace, config)
+    model = CrossbarOptModel(trace, config,
+                             horizon=default_horizon(trace, config))
     opt = model.solve(extract_schedule=True)
     return replay_cpg_shadow(trace, config, cpg, model, opt, beta, alpha)
 
@@ -93,7 +95,8 @@ class TestCertification:
         cfg = SwitchConfig.square(2, b_in=1, b_out=1, b_cross=1)
         trace = BernoulliTraffic(2, 2, load=1.0).generate(4, seed=0)
         cpg = run_crossbar(CPGPolicy(), cfg, trace, record=True)
-        model = CrossbarOptModel(trace, cfg)
+        model = CrossbarOptModel(trace, cfg,
+                                 horizon=default_horizon(trace, cfg))
         opt = model.solve(extract_schedule=True)
         with pytest.raises(ValueError):
             replay_cpg_shadow(trace, cfg, cpg, model, opt, 1.0, 2.0)
