@@ -618,7 +618,7 @@ def cmd_trace_info(args) -> int:
 def cmd_trace_replay(args) -> int:
     """Replay a recorded trace through the engine and emit its artifact.
 
-    The default path streams the file through ``run_*_streaming`` at
+    The default path streams the file through ``run_streaming`` at
     O(chunk) peak memory; ``--materialized`` loads the whole trace and
     runs the batch engine instead.  Both paths produce byte-identical
     artifacts (the CI memory smoke diffs them), and ``--rss-limit-mb``
@@ -626,7 +626,7 @@ def cmd_trace_replay(args) -> int:
     """
     import json as _json
 
-    from .simulation.engine import run_cioq_streaming, run_crossbar_streaming
+    from .simulation.engine import run_streaming
     from .traffic.replay import TraceReplayTraffic
     from .traffic.trace import Trace, is_stream_file, read_stream_header
 
@@ -662,10 +662,8 @@ def cmd_trace_replay(args) -> int:
                         metrics=rec)
     else:
         replay = TraceReplayTraffic(args.path)
-        runner = (run_cioq_streaming if args.model == "cioq"
-                  else run_crossbar_streaming)
-        result = runner(policy, config, replay.arrival_source(), n_slots,
-                        metrics=rec)
+        result = run_streaming(policy, config, replay.arrival_source(),
+                               n_slots, metrics=rec)
 
     artifact = _json.dumps(result.summary(), indent=2, sort_keys=True) + "\n"
     if args.output:
@@ -834,7 +832,7 @@ def cmd_farm_gc(args) -> int:
     from .parallel import CACHE_VERSION
 
     store = ResultStore(args.cache_dir, CACHE_VERSION)
-    removed = store.gc(include_legacy=args.include_legacy)
+    removed = store.gc()
     print(format_table(
         [{"bucket": k, "files": v} for k, v in removed.items()],
         title=f"store gc ({args.cache_dir})",
@@ -1197,9 +1195,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gc", help="reclaim stale/torn store files and dead claims")
     f_gc.add_argument("--cache-dir", required=True, dest="cache_dir",
                       help="result-store root to collect")
-    f_gc.add_argument("--include-legacy", action="store_true",
-                      dest="include_legacy",
-                      help="also remove pre-farm flat cache entries")
     f_gc.set_defaults(func=cmd_farm_gc)
 
     p_const = sub.add_parser("constants", help="verify paper constants")
@@ -1209,8 +1204,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a bad argument value (``ValueError``/``TypeError``
+    from the library) prints ``error: <message>`` and returns 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

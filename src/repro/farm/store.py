@@ -11,9 +11,8 @@ substrate every farm component can point at:
   sweeps, scenarios, replication ladders and farm jobs share results.
 * **Sharded layout** — entries live under two-hex-character shard
   directories (``<root>/ab/<key>.json``) so million-entry stores never
-  put a million files in one directory.  Flat ``<root>/<key>.json``
-  files written by the pre-farm cache are still read (legacy
-  compatibility) but never written.
+  put a million files in one directory.  Nothing is ever read from or
+  written to the root level itself.
 * **Versioned entries + GC** — every written entry wraps its payload as
   ``{"cache_version": V, "payload": ...}``.  Because the version is
   *also* hashed into the key, bumping ``CACHE_VERSION`` makes every old
@@ -45,8 +44,8 @@ from typing import Dict, Iterator, Optional
 
 __all__ = ["ResultStore"]
 
-#: Field wrapping stored payloads; its presence distinguishes a sharded
-#: versioned entry from a legacy flat payload.
+#: Field wrapping stored payloads with the cache version they were
+#: written under.
 _VERSION_FIELD = "cache_version"
 
 
@@ -87,10 +86,6 @@ class ResultStore:
         """Sharded entry path for ``key`` (where new entries are written)."""
         return os.path.join(self.root, key[:2], f"{key}.json")
 
-    def legacy_path(self, key: str) -> str:
-        """Flat pre-farm cache path (read-only compatibility)."""
-        return os.path.join(self.root, f"{key}.json")
-
     def claim_path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.claim")
 
@@ -99,24 +94,19 @@ class ResultStore:
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The payload stored under ``key``, or ``None`` on any miss
         (absent, torn, corrupt, or unreadable — never an exception)."""
-        for path in (self.path(key), self.legacy_path(key)):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    entry = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(entry, dict):
-                continue
-            if _VERSION_FIELD in entry:
-                # A versioned entry under a key hashed from another
-                # version cannot happen (the version is in the key), but
-                # be defensive: a mismatched stamp is a miss.
-                if entry.get(_VERSION_FIELD) != self.version:
-                    continue
-                payload = entry.get("payload")
-                return payload if isinstance(payload, dict) else None
-            return entry  # legacy flat payload
-        return None
+        try:
+            with open(self.path(key), "r", encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (OSError, ValueError):
+            return None
+        # A versioned entry under a key hashed from another version
+        # cannot happen (the version is in the key), but be defensive:
+        # an unstamped or mismatched entry is a miss.
+        if (not isinstance(entry, dict)
+                or entry.get(_VERSION_FIELD) != self.version):
+            return None
+        payload = entry.get("payload")
+        return payload if isinstance(payload, dict) else None
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
@@ -243,8 +233,8 @@ class ResultStore:
                     yield name[: -len(".json")]
 
     def stats(self) -> Dict[str, int]:
-        """Entry/legacy/claim counts and total payload bytes on disk."""
-        entries = claims = legacy = total = 0
+        """Entry/claim counts and total payload bytes on disk."""
+        entries = claims = total = 0
         for shard in self._shards():
             try:
                 names = os.listdir(shard)
@@ -260,27 +250,20 @@ class ResultStore:
                         pass
                 elif name.endswith(".claim"):
                     claims += 1
-        try:
-            for name in os.listdir(self.root):
-                if name.endswith(".json"):
-                    legacy += 1
-        except OSError:
-            pass
-        return {"entries": entries, "legacy_entries": legacy,
-                "claims": claims, "bytes": total}
+        return {"entries": entries, "claims": claims, "bytes": total}
 
-    def gc(self, include_legacy: bool = False) -> Dict[str, int]:
+    def gc(self) -> Dict[str, int]:
         """Reclaim unreachable files; returns removal counts.
 
         Removes: entries stamped with a ``cache_version`` other than
         this store's (unreachable — the version is hashed into every
         key), corrupt/torn entries, leftover ``*.tmp`` files, and claim
-        files held by dead processes.  Legacy flat entries (no version
-        stamp) are only removed with ``include_legacy=True`` — they may
-        still be read by current keys.
+        files held by dead processes, all inside shard directories
+        (:meth:`put` never writes anywhere else; root-level files are
+        left alone).
         """
         removed = {"stale": 0, "corrupt": 0, "tmp": 0, "claims": 0,
-                   "legacy": 0, "kept": 0}
+                   "kept": 0}
 
         def _unlink(path: str, bucket: str) -> None:
             try:
@@ -317,22 +300,6 @@ class ResultStore:
                     _unlink(path, "corrupt")
                 elif entry[_VERSION_FIELD] != self.version:
                     _unlink(path, "stale")
-                else:
-                    removed["kept"] += 1
-        # Root level: torn temp files and (optionally) legacy entries.
-        try:
-            names = sorted(os.listdir(self.root))
-        except OSError:
-            names = []
-        for name in names:
-            path = os.path.join(self.root, name)
-            if not os.path.isfile(path):
-                continue
-            if name.endswith(".tmp"):
-                _unlink(path, "tmp")
-            elif name.endswith(".json"):
-                if include_legacy:
-                    _unlink(path, "legacy")
                 else:
                     removed["kept"] += 1
         return removed

@@ -156,9 +156,7 @@ class NullRecorder:
         yield
 
 
-#: Shared stateless metrics-off instance.  Named ``NULL_METRICS`` (not
-#: ``NULL_RECORDER``) to avoid clashing with the kernel's event-log
-#: ``NULL_RECORDER`` in modules that import both.
+#: Shared stateless metrics-off instance.
 NULL_METRICS = NullRecorder()
 
 

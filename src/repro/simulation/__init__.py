@@ -15,12 +15,11 @@ from .engine import (
     drain_bound,
     run_cioq,
     run_cioq_batch,
-    run_cioq_streaming,
-    run_crossbar_streaming,
     run_crossbar,
     run_crossbar_batch,
+    run_streaming,
 )
-from .kernel import NULL_RECORDER, LogRecorder, NullRecorder, run_slot_loop
+from .kernel import run_slot_loop
 from .results import SimulationResult, TransferEvent
 
 __all__ = [
@@ -35,14 +34,10 @@ __all__ = [
     "drain_bound",
     "run_cioq",
     "run_cioq_batch",
-    "run_cioq_streaming",
-    "run_crossbar_streaming",
     "run_crossbar",
     "run_crossbar_batch",
+    "run_streaming",
     "run_slot_loop",
-    "LogRecorder",
-    "NullRecorder",
-    "NULL_RECORDER",
     "SimulationResult",
     "TransferEvent",
 ]

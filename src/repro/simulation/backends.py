@@ -1,8 +1,9 @@
 """Backend registry for the slot-loop engine.
 
-The engine entry points (:func:`repro.simulation.engine.run_cioq` and
-friends) accept a ``backend`` argument naming one of three execution
-strategies for the arrival/schedule/transmit slot loop:
+Every engine entry point (:mod:`repro.simulation.engine`) accepts a
+``backend`` argument naming one of three execution strategies for the
+arrival/schedule/transmit slot loop; the engine's one private body
+resolves it once per run:
 
 ``reference``
     The pure-Python object-per-packet kernel

@@ -21,10 +21,14 @@ The engine validates every policy decision against the switch's
 feasibility rules, counts all losses, and asserts conservation at the
 end of each run.
 
-The three entry points below are thin wrappers: they build the switch
-and the arrival source, then delegate to the shared fast slot loop in
-:mod:`repro.simulation.kernel` (see that module for the performance
-model).
+Every run goes through one private body, :func:`_simulate`, which
+derives the switch model from the policy's class, decides once between
+the ``fast`` backend (:func:`_run_fast`) and the reference slot loop in
+:mod:`repro.simulation.kernel`, and builds the arrival function, horizon
+and result.  The public entry points are thin: :func:`run_cioq` and
+:func:`run_crossbar` for one trace, :func:`run_cioq_batch` and
+:func:`run_crossbar_batch` for seed ladders, and :func:`run_streaming`
+for arrivals produced online.
 """
 
 from __future__ import annotations
@@ -45,10 +49,16 @@ from .backends import (
     load_fastpath,
     validate_backend,
 )
-from .kernel import NULL_RECORDER, LogRecorder, run_slot_loop
+from .kernel import run_slot_loop
 from .results import SimulationResult
 
 ArrivalSpec = Tuple[int, int, float]
+
+#: Switch model name -> (policy interface, switch class).
+_MODELS = {
+    "cioq": (CIOQPolicy, CIOQSwitch),
+    "crossbar": (CrossbarPolicy, CrossbarSwitch),
+}
 
 
 def drain_bound(config: SwitchConfig) -> int:
@@ -60,6 +70,18 @@ def drain_bound(config: SwitchConfig) -> int:
     return total_capacity + 1
 
 
+def _model_of(policy, expected: Optional[str] = None) -> str:
+    """The switch model ``policy`` decides for; ``TypeError`` when it is
+    neither, or not the ``expected`` one."""
+    for model, (interface, _) in _MODELS.items():
+        if isinstance(policy, interface) and expected in (None, model):
+            return model
+    raise TypeError(
+        f"{type(policy).__name__} is not a "
+        f"{expected or 'cioq or crossbar'} policy"
+    )
+
+
 def _check_dims(trace: Trace, config: SwitchConfig) -> None:
     if trace.n_in != config.n_in or trace.n_out != config.n_out:
         raise ValueError(
@@ -68,60 +90,152 @@ def _check_dims(trace: Trace, config: SwitchConfig) -> None:
         )
 
 
-def _make_result(
-    policy, config: SwitchConfig, n_arrival_slots: int, horizon: int
-) -> SimulationResult:
-    return SimulationResult(
-        policy_name=policy.name,
-        config=config,
-        n_arrival_slots=n_arrival_slots,
-        horizon=horizon,
-    )
+def _online_arrivals(source: Callable, switch) -> Callable[[int], List[Packet]]:
+    """Wrap an online ``source(slot, switch)`` of ``(src, dst, value)``
+    triples as a per-slot arrival function, assigning packet ids in
+    arrival-event order as :class:`~repro.traffic.base.TrafficModel`
+    does for batch traces."""
+    pid = 0
+
+    def arrivals_for(t: int) -> List[Packet]:
+        nonlocal pid
+        packets: List[Packet] = []
+        for src, dst, value in source(t, switch):
+            packets.append(Packet(pid, value, t, src, dst))
+            pid += 1
+        return packets
+
+    return arrivals_for
 
 
-# ---------------------------------------------------------------------------
-# CIOQ runs
-# ---------------------------------------------------------------------------
-
-def _dispatch_single(
-    model: str,
-    policy,
-    config: SwitchConfig,
-    trace: Trace,
-    backend: str,
-    record: bool,
-    max_extra_slots: Optional[int],
-    check_invariants: bool,
-    trace_occupancy: bool,
-    metrics=None,
-    metrics_lane: int = 0,
-) -> Optional[SimulationResult]:
-    """Try the ``fast`` backend for a single run; return ``None`` when
-    the caller should take the reference path instead."""
-    validate_backend(backend)
+def _run_fast(model: str, policy, config: SwitchConfig,
+              traces: List[Trace], backend: str,
+              **options) -> Optional[List[SimulationResult]]:
+    """The one fast-path dispatch: the ``fast`` backend's results for
+    ``traces``, or ``None`` when the reference kernel should run them."""
     if backend == "reference":
         return None
     if backend == "auto" and auto_prefers_reference(policy, config):
         return None  # below the size crossover the reference kernel wins
     try:
-        fastpath = load_fastpath()
-        return fastpath.run_single(
-            model,
-            policy,
-            config,
-            trace,
-            record=record,
-            max_extra_slots=max_extra_slots,
-            check_invariants=check_invariants,
-            trace_occupancy=trace_occupancy,
-            metrics=metrics,
-            metrics_lane=metrics_lane,
-        )
+        return load_fastpath().run_batch(model, policy, config, traces,
+                                         **options)
     except (BackendUnavailable, BackendUnsupported):
         if backend == "fast":
             raise
         return None
 
+
+def _simulate(
+    policy,
+    config: SwitchConfig,
+    trace: Optional[Trace],
+    *,
+    source: Optional[Callable] = None,
+    n_slots: int = 0,
+    record: bool = False,
+    max_extra_slots: Optional[int] = None,
+    check_invariants: bool = False,
+    trace_occupancy: bool = False,
+    backend: str = DEFAULT_BACKEND,
+    metrics=None,
+    lane: int = 0,
+    expected: Optional[str] = None,
+) -> SimulationResult:
+    """Simulate ``policy`` over ``trace`` or, when ``trace`` is ``None``,
+    over the first ``n_slots`` slots of the online ``source``.
+
+    ``lane`` tags metrics samples (a batch's reference fallback passes
+    each trace's index); ``expected`` names the model the caller's entry
+    point is for.
+    """
+    model = _model_of(policy, expected)
+    validate_backend(backend)
+    if trace is None:
+        if backend == "fast":
+            raise BackendUnsupported(
+                "the fast backend does not support streaming arrival sources"
+            )
+    else:
+        _check_dims(trace, config)
+        fast = _run_fast(
+            model, policy, config, [trace], backend, record=record,
+            max_extra_slots=max_extra_slots,
+            check_invariants=check_invariants,
+            trace_occupancy=trace_occupancy, metrics=metrics,
+        )
+        if fast is not None:
+            return fast[0]
+        n_slots = trace.n_slots
+
+    switch = _MODELS[model][1](config)
+    policy.reset(switch)
+    arrivals_for = (_online_arrivals(source, switch) if trace is None
+                    else trace.arrival_slots().__getitem__)
+    extra = drain_bound(config) if max_extra_slots is None else max_extra_slots
+    horizon = n_slots + extra
+    result = SimulationResult(
+        policy_name=policy.name,
+        config=config,
+        n_arrival_slots=n_slots,
+        horizon=horizon,
+    )
+    return run_slot_loop(
+        switch,
+        policy,
+        arrivals_for,
+        n_slots,
+        horizon,
+        result,
+        crossbar=model == "crossbar",
+        record=record,
+        check_invariants=check_invariants,
+        trace_occupancy=trace_occupancy,
+        metrics=metrics,
+        lane=lane,
+    )
+
+
+def _run_batch(
+    model: str,
+    policy_factory: Callable[[], object],
+    config: SwitchConfig,
+    traces: Sequence[Trace],
+    max_extra_slots: Optional[int],
+    trace_occupancy: bool,
+    backend: str,
+    metrics,
+) -> List[SimulationResult]:
+    validate_backend(backend)
+    proto = policy_factory()
+    _model_of(proto, model)
+    traces = list(traces)
+    if not traces:
+        return []
+    for trace in traces:
+        _check_dims(trace, config)
+    fast = _run_fast(
+        model, proto, config, traces, backend,
+        max_extra_slots=max_extra_slots, trace_occupancy=trace_occupancy,
+        metrics=metrics,
+    )
+    if fast is not None:
+        return fast
+    # Reference fallback: lane-tag each trace's samples by batch index,
+    # matching the fast backend's lane numbering.
+    return [
+        _simulate(
+            policy_factory(), config, trace,
+            max_extra_slots=max_extra_slots, trace_occupancy=trace_occupancy,
+            metrics=metrics, lane=i,
+        )
+        for i, trace in enumerate(traces)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Public entry points
+# ---------------------------------------------------------------------------
 
 def run_cioq(
     policy: CIOQPolicy,
@@ -133,7 +247,6 @@ def run_cioq(
     trace_occupancy: bool = False,
     backend: str = DEFAULT_BACKEND,
     metrics=None,
-    metrics_lane: int = 0,
 ) -> SimulationResult:
     """Simulate ``policy`` on a CIOQ switch over ``trace``.
 
@@ -162,95 +275,16 @@ def run_cioq(
         Optional :class:`repro.obs.MetricsRecorder`; ``None`` (default)
         and disabled recorders are payload- and performance-equivalent
         to a metrics-free build (see :mod:`repro.obs`).
+
+    A policy for the other switch model raises ``TypeError``.
     """
-    _check_dims(trace, config)
-    fast = _dispatch_single(
-        "cioq", policy, config, trace, backend,
-        record, max_extra_slots, check_invariants, trace_occupancy,
-        metrics, metrics_lane,
-    )
-    if fast is not None:
-        return fast
-    switch = CIOQSwitch(config)
-    policy.reset(switch)
-    extra = drain_bound(config) if max_extra_slots is None else max_extra_slots
-    horizon = trace.n_slots + extra
-    result = _make_result(policy, config, trace.n_slots, horizon)
-    return run_slot_loop(
-        switch,
-        policy,
-        trace.arrival_slots().__getitem__,
-        trace.n_slots,
-        horizon,
-        result,
-        crossbar=False,
-        recorder=LogRecorder(result) if record else NULL_RECORDER,
-        check_invariants=check_invariants,
-        trace_occupancy=trace_occupancy,
-        metrics=metrics,
-        metrics_lane=metrics_lane,
+    return _simulate(
+        policy, config, trace, record=record,
+        max_extra_slots=max_extra_slots, check_invariants=check_invariants,
+        trace_occupancy=trace_occupancy, backend=backend, metrics=metrics,
+        expected="cioq",
     )
 
-
-def run_cioq_streaming(
-    policy: CIOQPolicy,
-    config: SwitchConfig,
-    source: Callable[[int, CIOQSwitch], Sequence[ArrivalSpec]],
-    n_slots: int,
-    record: bool = False,
-    backend: str = DEFAULT_BACKEND,
-    metrics=None,
-) -> SimulationResult:
-    """Like :func:`run_cioq` but with arrivals produced online by
-    ``source(slot, switch)`` — used by adaptive adversaries that inspect
-    the online state before choosing the next arrivals.
-
-    ``source`` is consulted for the first ``n_slots`` slots (before the
-    arrival phase of each); afterwards the switch drains.  Packet ids
-    are assigned in arrival-event order, exactly as
-    :class:`~repro.traffic.base.TrafficModel` does for batch traces.
-
-    Streaming sources observe online switch state, so the vectorized
-    backend cannot run them: ``backend="fast"`` raises
-    :class:`~repro.simulation.backends.BackendUnsupported`, and
-    ``backend="auto"`` silently uses the reference kernel.
-    """
-    validate_backend(backend)
-    if backend == "fast":
-        raise BackendUnsupported(
-            "the fast backend does not support streaming arrival sources"
-        )
-    switch = CIOQSwitch(config)
-    policy.reset(switch)
-    horizon = n_slots + drain_bound(config)
-    result = _make_result(policy, config, n_slots, horizon)
-
-    pid = 0
-
-    def arrivals_for(t: int) -> List[Packet]:
-        nonlocal pid
-        packets: List[Packet] = []
-        for src, dst, value in source(t, switch):
-            packets.append(Packet(pid, value, t, src, dst))
-            pid += 1
-        return packets
-
-    return run_slot_loop(
-        switch,
-        policy,
-        arrivals_for,
-        n_slots,
-        horizon,
-        result,
-        crossbar=False,
-        recorder=LogRecorder(result) if record else NULL_RECORDER,
-        metrics=metrics,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Buffered crossbar runs
-# ---------------------------------------------------------------------------
 
 def run_crossbar(
     policy: CrossbarPolicy,
@@ -262,7 +296,6 @@ def run_crossbar(
     trace_occupancy: bool = False,
     backend: str = DEFAULT_BACKEND,
     metrics=None,
-    metrics_lane: int = 0,
 ) -> SimulationResult:
     """Simulate ``policy`` on a buffered crossbar switch over ``trace``.
 
@@ -272,141 +305,47 @@ def run_crossbar(
     Section 1.3 of the paper.  Accepts the same keyword options as
     :func:`run_cioq`.
     """
-    _check_dims(trace, config)
-    fast = _dispatch_single(
-        "crossbar", policy, config, trace, backend,
-        record, max_extra_slots, check_invariants, trace_occupancy,
-        metrics, metrics_lane,
-    )
-    if fast is not None:
-        return fast
-    switch = CrossbarSwitch(config)
-    policy.reset(switch)
-    extra = drain_bound(config) if max_extra_slots is None else max_extra_slots
-    horizon = trace.n_slots + extra
-    result = _make_result(policy, config, trace.n_slots, horizon)
-    return run_slot_loop(
-        switch,
-        policy,
-        trace.arrival_slots().__getitem__,
-        trace.n_slots,
-        horizon,
-        result,
-        crossbar=True,
-        recorder=LogRecorder(result) if record else NULL_RECORDER,
-        check_invariants=check_invariants,
-        trace_occupancy=trace_occupancy,
-        metrics=metrics,
-        metrics_lane=metrics_lane,
+    return _simulate(
+        policy, config, trace, record=record,
+        max_extra_slots=max_extra_slots, check_invariants=check_invariants,
+        trace_occupancy=trace_occupancy, backend=backend, metrics=metrics,
+        expected="crossbar",
     )
 
 
-def run_crossbar_streaming(
-    policy: CrossbarPolicy,
+def run_streaming(
+    policy,
     config: SwitchConfig,
-    source: Callable[[int, CrossbarSwitch], Sequence[ArrivalSpec]],
+    source: Callable[[int, object], Sequence[ArrivalSpec]],
     n_slots: int,
+    *,
     record: bool = False,
     backend: str = DEFAULT_BACKEND,
     metrics=None,
 ) -> SimulationResult:
-    """Like :func:`run_crossbar` but with arrivals produced online by
-    ``source(slot, switch)`` — the crossbar counterpart of
-    :func:`run_cioq_streaming`, with the identical contract: the source
-    is consulted for the first ``n_slots`` slots, packet ids are
-    assigned in arrival-event order, ``backend="fast"`` raises
+    """Like :func:`run_cioq`/:func:`run_crossbar` (the model follows the
+    policy's class) but with arrivals produced online by
+    ``source(slot, switch)`` as ``(src, dst, value)`` triples.
+
+    ``source`` is consulted for the first ``n_slots`` slots (before the
+    arrival phase of each); afterwards the switch drains.  Packet ids
+    are assigned in arrival-event order, exactly as
+    :class:`~repro.traffic.base.TrafficModel` does for batch traces.
+    Adaptive adversaries use this to inspect the online state before
+    choosing the next arrivals, and a
+    :class:`~repro.traffic.base.TrafficModel`'s ``arrival_source(seed)``
+    plugs in here for memory-bounded replay, byte-identical to running
+    the materialized ``generate(n_slots, seed)`` trace.
+
+    Streaming sources observe online switch state, so the vectorized
+    backend cannot run them: ``backend="fast"`` raises
     :class:`~repro.simulation.backends.BackendUnsupported`, and
     ``backend="auto"`` silently uses the reference kernel.
-
-    Besides adaptive adversaries, both streaming entries drive the
-    memory-bounded trace-replay path: a
-    :class:`~repro.traffic.base.TrafficModel`'s ``arrival_source(seed)``
-    plugs in here and produces results byte-identical to running the
-    materialized ``generate(n_slots, seed)`` trace.
     """
-    validate_backend(backend)
-    if backend == "fast":
-        raise BackendUnsupported(
-            "the fast backend does not support streaming arrival sources"
-        )
-    switch = CrossbarSwitch(config)
-    policy.reset(switch)
-    horizon = n_slots + drain_bound(config)
-    result = _make_result(policy, config, n_slots, horizon)
-
-    pid = 0
-
-    def arrivals_for(t: int) -> List[Packet]:
-        nonlocal pid
-        packets: List[Packet] = []
-        for src, dst, value in source(t, switch):
-            packets.append(Packet(pid, value, t, src, dst))
-            pid += 1
-        return packets
-
-    return run_slot_loop(
-        switch,
-        policy,
-        arrivals_for,
-        n_slots,
-        horizon,
-        result,
-        crossbar=True,
-        recorder=LogRecorder(result) if record else NULL_RECORDER,
-        metrics=metrics,
+    return _simulate(
+        policy, config, None, source=source, n_slots=n_slots, record=record,
+        backend=backend, metrics=metrics,
     )
-
-
-# ---------------------------------------------------------------------------
-# Batched runs (seed ladders)
-# ---------------------------------------------------------------------------
-
-def _run_batch(
-    model: str,
-    single_runner,
-    policy_factory: Callable[[], object],
-    config: SwitchConfig,
-    traces: Sequence[Trace],
-    max_extra_slots: Optional[int],
-    trace_occupancy: bool,
-    backend: str,
-    metrics=None,
-) -> List[SimulationResult]:
-    validate_backend(backend)
-    traces = list(traces)
-    if (backend != "reference" and traces
-            and not (backend == "auto"
-                     and auto_prefers_reference(policy_factory(), config))):
-        try:
-            fastpath = load_fastpath()
-            for trace in traces:
-                _check_dims(trace, config)
-            return fastpath.run_batch(
-                model,
-                policy_factory(),
-                config,
-                traces,
-                max_extra_slots=max_extra_slots,
-                trace_occupancy=trace_occupancy,
-                metrics=metrics,
-            )
-        except (BackendUnavailable, BackendUnsupported):
-            if backend == "fast":
-                raise
-    # Reference fallback: lane-tag each trace's samples by batch index,
-    # matching the fast backend's lane numbering.
-    return [
-        single_runner(
-            policy_factory(),
-            config,
-            trace,
-            max_extra_slots=max_extra_slots,
-            trace_occupancy=trace_occupancy,
-            metrics=metrics,
-            metrics_lane=i,
-        )
-        for i, trace in enumerate(traces)
-    ]
 
 
 def run_cioq_batch(
@@ -429,7 +368,7 @@ def run_cioq_batch(
     exactly the same results.
     """
     return _run_batch(
-        "cioq", run_cioq, policy_factory, config, traces,
+        "cioq", policy_factory, config, traces,
         max_extra_slots, trace_occupancy, backend, metrics,
     )
 
@@ -446,6 +385,6 @@ def run_crossbar_batch(
 ) -> List[SimulationResult]:
     """Crossbar counterpart of :func:`run_cioq_batch`."""
     return _run_batch(
-        "crossbar", run_crossbar, policy_factory, config, traces,
+        "crossbar", policy_factory, config, traces,
         max_extra_slots, trace_occupancy, backend, metrics,
     )

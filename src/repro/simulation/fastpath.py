@@ -45,6 +45,7 @@ from ..core.cgu import CGUPolicy
 from ..core.cpg import CPGPolicy
 from ..core.gm import GMPolicy
 from ..core.pg import PGPolicy
+from ..obs.recorder import resolve
 from ..scheduling.baselines import (
     CrossbarGreedyWeightedPolicy,
     MaxMatchPolicy,
@@ -911,7 +912,7 @@ SUPPORTED_POLICIES: Dict[Tuple[str, Type], Type[_Stepper]] = {
 class _BatchRun:
     def __init__(self, model: str, proto, config: SwitchConfig,
                  traces: Sequence[Trace], max_extra_slots: Optional[int],
-                 trace_occupancy: bool, metrics=None, lane_base: int = 0):
+                 trace_occupancy: bool, metrics=None):
         stepper_cls = SUPPORTED_POLICIES.get((model, type(proto)))
         if stepper_cls is None:
             raise BackendUnsupported(
@@ -944,12 +945,7 @@ class _BatchRun:
         extra = (drain_bound(config) if max_extra_slots is None
                  else max_extra_slots)
         self.lanes: List[_Lane] = []
-        for idx, trace in enumerate(traces):
-            if trace.n_in != config.n_in or trace.n_out != config.n_out:
-                raise ValueError(
-                    f"trace is {trace.n_in}x{trace.n_out} but switch is "
-                    f"{config.n_in}x{config.n_out}"
-                )
+        for idx, trace in enumerate(traces):  # dims checked by the engine
             horizon = trace.n_slots + extra
             result = SimulationResult(
                 policy_name=proto.name, config=config,
@@ -982,9 +978,7 @@ class _BatchRun:
 
         # Metrics guard: resolved once per batch, never per slot (the
         # same compiled-out contract as the reference kernel).
-        self.metrics = (metrics if metrics is not None and metrics.enabled
-                        else None)
-        self.lane_base = lane_base
+        self.metrics = resolve(metrics)
         self.m_every = self.metrics.every_k if self.metrics is not None else 0
         self.m_timed = self.metrics is not None and self.metrics.timed
         # Per-lane sample buffers, flushed lane-major after the run so
@@ -1227,12 +1221,11 @@ class _BatchRun:
         ot = self.out.len.sum(axis=1).tolist()
         ct = (self.cross.len.sum(axis=1).tolist() if self.crossbar
               else [0] * self.S)
-        base = self.lane_base
         samples = self._samples
         for lane in self.active:
             s = lane.idx
             samples[s].append((
-                t, base + s, vt[s], ct[s], ot[s],
+                t, s, vt[s], ct[s], ot[s],
                 lane.n_sent - sent_before[s], lane.n_arrived, lane.n_sent,
                 lane.n_rejected,
                 lane.n_pre_voq + lane.n_pre_cross + lane.n_pre_out,
@@ -1365,19 +1358,8 @@ class _BatchRun:
 
 
 # ---------------------------------------------------------------------------
-# Entry points (called via the engine's backend dispatch)
+# Entry point (called via the engine's backend dispatch)
 # ---------------------------------------------------------------------------
-
-def _reject_unsupported(record: bool, check_invariants: bool) -> None:
-    if record:
-        raise BackendUnsupported(
-            "the fast backend does not implement record=True event logs"
-        )
-    if check_invariants:
-        raise BackendUnsupported(
-            "the fast backend does not implement check_invariants=True"
-        )
-
 
 def run_batch(
     model: str,
@@ -1399,29 +1381,14 @@ def run_batch(
     during the lockstep loop and flushed lane-major afterwards, so the
     recorder ends up byte-identical to serial reference runs over the
     same traces (lane ``i`` is tagged ``i``)."""
-    _reject_unsupported(record, check_invariants)
-    if not traces:
-        return []
+    if record:
+        raise BackendUnsupported(
+            "the fast backend does not implement record=True event logs"
+        )
+    if check_invariants:
+        raise BackendUnsupported(
+            "the fast backend does not implement check_invariants=True"
+        )
     return _BatchRun(model, proto, config, traces, max_extra_slots,
                      trace_occupancy, metrics=metrics).run()
 
-
-def run_single(
-    model: str,
-    policy,
-    config: SwitchConfig,
-    trace: Trace,
-    *,
-    record: bool = False,
-    max_extra_slots: Optional[int] = None,
-    check_invariants: bool = False,
-    trace_occupancy: bool = False,
-    metrics=None,
-    metrics_lane: int = 0,
-) -> SimulationResult:
-    """Single-trace convenience wrapper around :func:`run_batch`."""
-    _reject_unsupported(record, check_invariants)
-    return _BatchRun(
-        model, policy, config, [trace], max_extra_slots,
-        trace_occupancy, metrics=metrics, lane_base=metrics_lane,
-    ).run()[0]

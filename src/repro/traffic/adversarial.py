@@ -367,7 +367,7 @@ def generate_adaptive_trace(
     ratio measurement.
     """
     # Local import: the engine imports traffic types, avoid a cycle.
-    from ..simulation.engine import run_cioq_streaming
+    from ..simulation.engine import run_streaming
 
     arrivals_log: List[List[ArrivalSpec]] = []
 
@@ -376,7 +376,7 @@ def generate_adaptive_trace(
         arrivals_log.append(list(specs))
         return specs
 
-    run_cioq_streaming(policy_factory(), config, source, n_slots)
+    run_streaming(policy_factory(), config, source, n_slots)
 
     packets: List[Packet] = []
     pid = 0

@@ -12,7 +12,7 @@ Two entry points share one arrival contract:
 
 * :meth:`TrafficModel.generate` materializes a full :class:`Trace`;
 * :meth:`TrafficModel.arrival_source` wraps the same draw sequence in a
-  per-slot callback matching the engine's ``run_*_streaming`` signature,
+  per-slot callback matching the engine's ``run_streaming`` signature,
   so streaming runs are byte-identical to materialized ones.
 
 ``arrivals_for_slot`` may return either ``(src, dst)`` pairs — the value
@@ -130,7 +130,7 @@ class TrafficModel(ABC):
     def arrival_source(
         self, seed: int = 0
     ) -> Callable[[int, object], Sequence[Tuple[int, int, float]]]:
-        """A per-slot arrival callback for ``run_*_streaming``.
+        """A per-slot arrival callback for ``run_streaming``.
 
         Returns ``source(t, switch) -> [(src, dst, value), ...]`` that
         replays exactly the draw sequence of ``generate(n_slots, seed)``

@@ -11,6 +11,7 @@ explicitly allows "arbitrarily many packets" per slot.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -41,8 +42,8 @@ class BernoulliTraffic(TrafficModel):
         load: float = 0.8,
         value_model: Optional[ValueModel] = None,
     ):
-        if load < 0:
-            raise ValueError(f"load must be >= 0, got {load}")
+        if not (load >= 0 and math.isfinite(load)):
+            raise ValueError(f"load must be finite and >= 0, got {load}")
         super().__init__(n_in, n_out, value_model, name=f"bernoulli(load={load:g})")
         self.load = float(load)
 

@@ -13,6 +13,7 @@ obtained by combining this with a skewed destination distribution).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,8 +54,9 @@ class BurstyTraffic(TrafficModel):
         for nm, p in (("p_on", p_on), ("p_off", p_off)):
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"{nm} must be in (0,1], got {p}")
-        if burst_load <= 0:
-            raise ValueError(f"burst_load must be > 0, got {burst_load}")
+        if not (burst_load > 0 and math.isfinite(burst_load)):
+            raise ValueError(
+                f"burst_load must be finite and > 0, got {burst_load}")
         super().__init__(
             n_in,
             n_out,

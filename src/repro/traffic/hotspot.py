@@ -13,6 +13,7 @@ Standard stress patterns from the switching literature:
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -42,8 +43,8 @@ class HotspotTraffic(TrafficModel):
             raise ValueError(f"hot_fraction must be in [0,1], got {hot_fraction}")
         if not 0 <= hot_port < n_out:
             raise ValueError(f"hot_port {hot_port} out of range")
-        if load < 0:
-            raise ValueError(f"load must be >= 0, got {load}")
+        if not (load >= 0 and math.isfinite(load)):
+            raise ValueError(f"load must be finite and >= 0, got {load}")
         super().__init__(
             n_in,
             n_out,
@@ -84,8 +85,8 @@ class DiagonalTraffic(TrafficModel):
     ):
         if not 0.0 <= diag_fraction <= 1.0:
             raise ValueError(f"diag_fraction must be in [0,1], got {diag_fraction}")
-        if load < 0:
-            raise ValueError(f"load must be >= 0, got {load}")
+        if not (load >= 0 and math.isfinite(load)):
+            raise ValueError(f"load must be finite and >= 0, got {load}")
         super().__init__(
             n_in,
             n_out,

@@ -16,6 +16,7 @@ single output queue — the hardest regime for admission decisions.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -58,8 +59,9 @@ class ParetoBurstTraffic(TrafficModel):
             raise ValueError(f"shape must be > 0, got {shape}")
         if not 0.0 < p_start <= 1.0:
             raise ValueError(f"p_start must be in (0,1], got {p_start}")
-        if burst_load <= 0:
-            raise ValueError(f"burst_load must be > 0, got {burst_load}")
+        if not (burst_load > 0 and math.isfinite(burst_load)):
+            raise ValueError(
+                f"burst_load must be finite and > 0, got {burst_load}")
         if max_burst < 1:
             raise ValueError(f"max_burst must be >= 1, got {max_burst}")
         super().__init__(

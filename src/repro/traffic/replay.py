@@ -20,7 +20,7 @@ Memory behaviour depends on the recording's format.  A chunked stream
 file is **not** materialized at construction: only its header is read,
 and :meth:`TraceReplayTraffic.arrival_source` replays it forward at
 O(chunk) peak memory (``repeat=True`` re-reads the file per period), so
-multi-million-packet recordings can drive ``run_*_streaming`` without
+multi-million-packet recordings can drive ``run_streaming`` without
 ever fitting in RAM.  ``generate`` and random-access
 ``arrivals_for_slot`` materialize the recording on first use — they are
 the small-instance/control paths.

@@ -52,9 +52,9 @@ from repro.simulation.backends import (
 from repro.simulation.engine import (
     run_cioq,
     run_cioq_batch,
-    run_cioq_streaming,
     run_crossbar,
     run_crossbar_batch,
+    run_streaming,
 )
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
@@ -148,15 +148,15 @@ class TestRegistry:
 
     def test_fast_rejects_streaming(self, small_config):
         with pytest.raises(BackendUnsupported):
-            run_cioq_streaming(GMPolicy(), small_config, lambda t, sw: [], 4,
-                               backend="fast")
+            run_streaming(GMPolicy(), small_config, lambda t, sw: [], 4,
+                          backend="fast")
 
     def test_streaming_auto_falls_back(self, small_config):
-        ref = run_cioq_streaming(GMPolicy(), small_config,
-                                 lambda t, sw: [(0, t % 3, 1.0)], 6)
-        auto = run_cioq_streaming(GMPolicy(), small_config,
-                                  lambda t, sw: [(0, t % 3, 1.0)], 6,
-                                  backend="auto")
+        ref = run_streaming(GMPolicy(), small_config,
+                            lambda t, sw: [(0, t % 3, 1.0)], 6)
+        auto = run_streaming(GMPolicy(), small_config,
+                             lambda t, sw: [(0, t % 3, 1.0)], 6,
+                             backend="auto")
         assert_payloads_identical(ref, auto)
 
 

@@ -25,6 +25,16 @@ class TestParser:
             main(["run", "--policy", "gm", "--model", "crossbar",
                   "--slots", "5"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--load", "nan"], ["--load", "inf"], ["--load", "-1"], ["--n", "0"],
+    ], ids=["load-nan", "load-inf", "load-negative", "zero-ports"])
+    def test_bad_value_exits_2_with_one_line(self, argv, capsys):
+        assert main(["run", "--slots", "5", *argv]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert captured.out == ""
+
 
 class TestCommands:
     def test_figures(self, capsys):

@@ -9,8 +9,10 @@ from repro.scheduling.base import ArrivalDecision, CIOQPolicy
 from repro.simulation.engine import (
     drain_bound,
     run_cioq,
-    run_cioq_streaming,
+    run_cioq_batch,
     run_crossbar,
+    run_crossbar_batch,
+    run_streaming,
 )
 from repro.switch.cioq import ScheduleError, Transfer
 from repro.switch.config import SwitchConfig
@@ -133,6 +135,38 @@ class TestEngineValidation:
             run_cioq(DoubleMatchPolicy(), small_config, trace)
 
 
+class TestPolicyModelMismatch:
+    """A policy for the other switch model is rejected at the entry
+    point with one line naming the class and the expected model, on
+    every backend."""
+
+    @pytest.mark.parametrize("backend", ["reference", "fast", "auto"])
+    @pytest.mark.parametrize("entry, policy_cls, expected", [
+        (run_cioq, CGUPolicy, "cioq"),
+        (run_crossbar, GMPolicy, "crossbar"),
+        (run_cioq_batch, CGUPolicy, "cioq"),
+        (run_crossbar_batch, GMPolicy, "crossbar"),
+    ], ids=["run_cioq", "run_crossbar", "run_cioq_batch",
+            "run_crossbar_batch"])
+    def test_wrong_policy_raises_type_error(self, small_config, unit_trace,
+                                            entry, policy_cls, expected,
+                                            backend):
+        if entry in (run_cioq_batch, run_crossbar_batch):
+            args = (policy_cls, small_config, [unit_trace])
+        else:
+            args = (policy_cls(), small_config, unit_trace)
+        with pytest.raises(TypeError) as info:
+            entry(*args, backend=backend)
+        message = str(info.value)
+        assert "\n" not in message
+        assert policy_cls.__name__ in message
+        assert f"{expected} policy" in message
+
+    def test_streaming_rejects_a_non_policy(self, small_config):
+        with pytest.raises(TypeError, match="object is not a"):
+            run_streaming(object(), small_config, lambda t, sw: [], 3)
+
+
 class TestRunCrossbar:
     def test_conservation(self, small_config, unit_trace):
         res = run_crossbar(CGUPolicy(), small_config, unit_trace)
@@ -167,7 +201,7 @@ class TestStreaming:
         def source(slot, switch):
             return by_slot.get(slot, [])
 
-        stream = run_cioq_streaming(
+        stream = run_streaming(
             GMPolicy(), small_config, source, n_slots=trace.n_slots
         )
         batch = run_cioq(GMPolicy(), small_config, trace)
@@ -178,6 +212,6 @@ class TestStreaming:
         def source(slot, switch):
             return [(slot % 3, (slot + 1) % 3, 1.0)]
 
-        res = run_cioq_streaming(GMPolicy(), small_config, source, n_slots=12)
+        res = run_streaming(GMPolicy(), small_config, source, n_slots=12)
         res.check_conservation()
         assert res.n_arrived == 12

@@ -56,13 +56,16 @@ class TestStoreBasics:
             fh.write("{torn")
         assert store.get(key) is None
 
-    def test_legacy_flat_entry_still_reads(self, store):
+    def test_root_level_flat_file_is_a_miss_and_gc_leaves_it(self, store):
         key = "ef" + "2" * 62
         os.makedirs(store.root, exist_ok=True)
-        with open(store.legacy_path(key), "w", encoding="utf-8") as fh:
-            json.dump({"benefit": 3}, fh)  # pre-farm bare payload
-        assert store.get(key) == {"benefit": 3}
-        assert store.stats()["legacy_entries"] == 1
+        flat = os.path.join(store.root, f"{key}.json")
+        with open(flat, "w", encoding="utf-8") as fh:
+            json.dump({"benefit": 3}, fh)  # bare payload outside any shard
+        assert store.get(key) is None
+        assert store.stats()["entries"] == 0
+        assert sum(store.gc().values()) == 0
+        assert os.path.exists(flat)
 
     def test_stale_version_misses_cleanly(self, store):
         key = "01" + "3" * 62
@@ -97,16 +100,6 @@ class TestGC:
         assert removed["tmp"] == 1
         assert removed["kept"] == 1
         assert store.get(live) == {"benefit": 1}
-
-    def test_legacy_only_removed_on_request(self, store):
-        key = "dd" + "0" * 62
-        os.makedirs(store.root, exist_ok=True)
-        with open(store.legacy_path(key), "w", encoding="utf-8") as fh:
-            json.dump({"benefit": 5}, fh)
-        assert store.gc()["legacy"] == 0
-        assert store.get(key) == {"benefit": 5}
-        assert store.gc(include_legacy=True)["legacy"] == 1
-        assert store.get(key) is None
 
     def test_dead_claims_reclaimed(self, store):
         key = "ee" + "0" * 62

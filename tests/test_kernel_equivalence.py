@@ -17,7 +17,7 @@ from repro.core.cpg import CPGPolicy
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
 from repro.scheduling.fifo import FifoCIOQPolicy
-from repro.simulation.engine import drain_bound, run_cioq, run_cioq_streaming, run_crossbar
+from repro.simulation.engine import drain_bound, run_cioq, run_crossbar, run_streaming
 from repro.switch.config import SwitchConfig
 from repro.traffic.adversarial import burst_reject_gadget
 from repro.traffic.bernoulli import BernoulliTraffic
@@ -168,8 +168,8 @@ class TestStreamingEquivalence:
 
     def _compare(self, source, n_slots, config, policy_cls=GMPolicy,
                  record=False):
-        fast = run_cioq_streaming(policy_cls(), config, source, n_slots,
-                                  record=record)
+        fast = run_streaming(policy_cls(), config, source, n_slots,
+                             record=record)
         seed = _seed_engine.run_cioq_streaming(policy_cls(), config, source,
                                                n_slots, record=record)
         for name in self.STREAMING_FIELDS:

@@ -55,7 +55,7 @@ from repro.obs import (
     write_walltimes,
 )
 from repro.parallel import SweepExecutor, SweepPoint, run_sweep_point
-from repro.simulation.engine import run_cioq, run_cioq_streaming
+from repro.simulation.engine import run_cioq, run_streaming
 from repro.switch.config import SwitchConfig
 from repro.traffic.trace import Packet, Trace
 
@@ -221,8 +221,8 @@ class TestKernelMetrics:
                     if p.arrival == t]
 
         stream_rec = InMemoryRecorder(every_k=2)
-        run_cioq_streaming(GMPolicy(), CONFIG, source, trace.n_slots,
-                           metrics=stream_rec)
+        run_streaming(GMPolicy(), CONFIG, source, trace.n_slots,
+                      metrics=stream_rec)
         assert json.dumps(batch_rec.snapshot(), sort_keys=True) == \
             json.dumps(stream_rec.snapshot(), sort_keys=True)
 

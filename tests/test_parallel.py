@@ -138,7 +138,7 @@ class TestExecutor:
         points = make_points(config, n=1)
         ex = SweepExecutor(cache_dir=str(tmp_path))
         first = ex.run(points)
-        path = ex._cache_path(ex.cache_key(points[0]))
+        path = ex.store.path(ex.cache_key(points[0]))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{not json")
         again = SweepExecutor(cache_dir=str(tmp_path)).run(points)

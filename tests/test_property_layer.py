@@ -154,7 +154,7 @@ class TestTraceStreaming:
     def test_arrival_source_matches_generate(self, seed):
         """Driving a model's streaming arrival_source slot-by-slot
         reproduces generate()'s packets exactly (the byte-identity
-        contract behind run_*_streaming)."""
+        contract behind run_streaming)."""
         rng = random.Random(seed)
         for case in range(N_CASES):
             model, _n_in, _n_out = traffic_strategy(rng)

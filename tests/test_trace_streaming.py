@@ -9,9 +9,9 @@ Covers the four fixes that the streaming rewrite depends on:
 4. the ``reset()`` contract clearing stateful models between runs;
 
 plus the chunked stream format itself (validation errors, O(chunk)
-readers) and end-to-end engine equality: ``run_cioq_streaming`` /
-``run_crossbar_streaming`` driven by an ``arrival_source`` produce
-results identical to the batch engine on the materialized trace.
+readers) and end-to-end engine equality: ``run_streaming`` driven by
+an ``arrival_source`` produces results identical to the batch engine on
+the materialized trace, for both switch models.
 """
 
 import json
@@ -22,9 +22,8 @@ import pytest
 from repro.core import CGUPolicy, GMPolicy, PGPolicy
 from repro.simulation.engine import (
     run_cioq,
-    run_cioq_streaming,
     run_crossbar,
-    run_crossbar_streaming,
+    run_streaming,
 )
 from repro.switch.config import SwitchConfig
 from repro.switch.packet import Packet
@@ -250,7 +249,7 @@ class TestStreamFormat:
 
 
 class TestEngineStreamingEquality:
-    """run_*_streaming over an arrival_source == batch engine over the
+    """run_streaming over an arrival_source == batch engine over the
     materialized trace, field for field."""
 
     CONFIG = SwitchConfig(n_in=3, n_out=3, speedup=1, b_in=2, b_out=2,
@@ -267,8 +266,8 @@ class TestEngineStreamingEquality:
         trace = model.generate(40, seed=2)
         batch = run_cioq(policy_cls(), self.CONFIG, trace,
                          backend="reference")
-        stream = run_cioq_streaming(policy_cls(), self.CONFIG,
-                                    model.arrival_source(seed=2), 40)
+        stream = run_streaming(policy_cls(), self.CONFIG,
+                               model.arrival_source(seed=2), 40)
         self._assert_equal(batch, stream)
 
     def test_crossbar_streaming_matches_batch(self):
@@ -276,8 +275,8 @@ class TestEngineStreamingEquality:
         trace = model.generate(30, seed=4)
         batch = run_crossbar(CGUPolicy(), self.CONFIG, trace,
                              backend="reference")
-        stream = run_crossbar_streaming(CGUPolicy(), self.CONFIG,
-                                        model.arrival_source(seed=4), 30)
+        stream = run_streaming(CGUPolicy(), self.CONFIG,
+                               model.arrival_source(seed=4), 30)
         self._assert_equal(batch, stream)
 
     def test_stream_file_replay_matches_batch(self, tmp_path):
@@ -288,8 +287,8 @@ class TestEngineStreamingEquality:
         trace.save_stream(path, chunk_slots=4)
         replay = TraceReplayTraffic(path)
         assert replay._trace is None
-        stream = run_cioq_streaming(GMPolicy(), self.CONFIG,
-                                    replay.arrival_source(), 25)
+        stream = run_streaming(GMPolicy(), self.CONFIG,
+                               replay.arrival_source(), 25)
         batch = run_cioq(GMPolicy(), self.CONFIG, trace,
                          backend="reference")
         self._assert_equal(batch, stream)
@@ -299,6 +298,6 @@ class TestEngineStreamingEquality:
 
         model = BernoulliTraffic(3, 3, load=1.0)
         with pytest.raises(BackendUnsupported):
-            run_crossbar_streaming(CGUPolicy(), self.CONFIG,
-                                   model.arrival_source(), 5,
-                                   backend="fast")
+            run_streaming(CGUPolicy(), self.CONFIG,
+                          model.arrival_source(), 5,
+                          backend="fast")

@@ -5,8 +5,10 @@ import pytest
 
 from repro.switch.packet import Packet
 from repro.traffic.bernoulli import BernoulliTraffic
+from repro.traffic.appmix import ApplicationMixTraffic
 from repro.traffic.bursty import BurstyTraffic
 from repro.traffic.hotspot import DiagonalTraffic, HotspotTraffic
+from repro.traffic.paretoburst import ParetoBurstTraffic
 from repro.traffic.trace import Trace
 from repro.traffic.values import (
     exponential_values,
@@ -212,6 +214,22 @@ class TestHotspotAndDiagonal:
         m = DiagonalTraffic(4, 4, load=1.0, diag_fraction=0.0)
         t = m.generate(50, seed=1)
         assert all(p.dst == (p.src + 1) % 4 for p in t.packets)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0],
+                         ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("make", [
+    lambda v: BernoulliTraffic(3, 3, load=v),
+    lambda v: HotspotTraffic(3, 3, load=v),
+    lambda v: DiagonalTraffic(3, 3, load=v),
+    lambda v: BurstyTraffic(3, 3, burst_load=v),
+    lambda v: ParetoBurstTraffic(3, 3, burst_load=v),
+    lambda v: ApplicationMixTraffic(3, 3, load_scale=v),
+], ids=["bernoulli", "hotspot", "diagonal", "bursty", "paretoburst",
+        "appmix"])
+def test_load_must_be_finite_and_non_negative(make, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(bad)
 
 
 class TestPidOrdering:
