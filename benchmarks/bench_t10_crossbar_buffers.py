@@ -10,9 +10,9 @@ crosspoint memory and bigger crosspoint buffers buy little.
 
 import math
 
+from repro.analysis.ratio import ratio_of
 from repro.analysis.report import format_mean_ci, format_table
-from repro.analysis.sweep import buffer_sweep_crossbar
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, run_scenario
 from repro.stats import Welford, half_width
 
 from conftest import run_once
@@ -27,16 +27,23 @@ REPLICATES = 3
 
 def _sweep_scenario(name, executor):
     spec = get_scenario(name)
-    _label, factory = spec.policy_factories()[0]
-    return buffer_sweep_crossbar(
-        factory,
-        spec.build_traffic(),
-        n_slots=spec.slots,
-        b_cross_values=B_CROSS_VALUES,
-        base_config=spec.build_config(),
-        seeds=range(REPLICATES),
-        executor=executor,
-    )
+    spec = spec.with_overrides(seeds=range(REPLICATES),
+                               policies=spec.policies[:1], include_opt=True)
+    (label,) = spec.policy_labels()
+    rows = []
+    for bc in B_CROSS_VALUES:
+        run = run_scenario(
+            spec.with_overrides(switch={**spec.switch, "b_cross": bc}),
+            executor=executor,
+        )
+        benefit = {(m["seed"], m["policy"]): m["benefit"]
+                   for m in run.metrics}
+        for seed in spec.seeds:
+            onl, opt = benefit[seed, label], benefit[seed, "OPT"]
+            rows.append({"b_cross": bc, "seed": seed,
+                         "benefit": round(onl, 3), "opt": round(opt, 3),
+                         "ratio": round(ratio_of(opt, onl), 4)})
+    return rows
 
 
 def compute_tables(executor=None):

@@ -10,11 +10,11 @@ Two parts:
    relative to beta*.
 """
 
-from repro.analysis.ratio import measure_cioq_ratio, summarize
+from repro.analysis.ratio import measure_cioq_ratio, ratio_of, summarize
 from repro.analysis.report import format_table
-from repro.analysis.sweep import beta_sweep_pg
 from repro.core.params import pg_optimal_beta, pg_optimal_ratio, pg_ratio
 from repro.core.pg import PGPolicy
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.hotspot import HotspotTraffic
@@ -60,14 +60,37 @@ def compute_ratio_rows():
 
 
 def compute_beta_sweep(executor=None):
-    config = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2)
-    trace = BernoulliTraffic(
-        3, 3, load=1.5, value_model=two_value(20, 0.3)
-    ).generate(25, seed=11)
     betas = [1.05, 1.2, 1.5, 2.0, pg_optimal_beta(), 3.0, 5.0, 10.0]
-    rows = beta_sweep_pg(trace, config, betas, executor=executor)
-    for r in rows:
-        r["analysis bound"] = round(pg_ratio(r["beta"]), 3)
+    spec = ScenarioSpec(
+        name="t2-beta-sweep",
+        switch={"n_in": 3, "n_out": 3, "speedup": 1, "b_in": 2, "b_out": 2},
+        traffic_params={"load": 1.5},
+        values="two-value",
+        value_params={"alpha": 20, "p_high": 0.3},
+        policies=tuple({"name": "pg", "beta": beta} for beta in betas),
+        slots=25,
+        seeds=(11,),
+        metrics=("benefit", "n_preempted", "n_rejected"),
+    )
+    # One seed: the OPT point is solved once and shared by every beta.
+    payload = {m["policy"]: m
+               for m in run_scenario(spec, executor=executor).metrics}
+    opt_benefit = payload["OPT"]["benefit"]
+    rows = []
+    for beta, label in zip(betas, spec.policy_labels()):
+        pg = payload[label]
+        beta = round(beta, 4)
+        rows.append(
+            {
+                "beta": beta,
+                "pg_benefit": round(pg["benefit"], 3),
+                "opt_benefit": round(opt_benefit, 3),
+                "ratio": round(ratio_of(opt_benefit, pg["benefit"]), 4),
+                "preempted": pg["n_preempted"],
+                "rejected": pg["n_rejected"],
+                "analysis bound": round(pg_ratio(beta), 3),
+            }
+        )
     return rows
 
 

@@ -10,8 +10,7 @@ greedy.
 """
 
 from repro.analysis.report import format_mean_ci, format_table
-from repro.analysis.sweep import speedup_sweep
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, run_scenario
 from repro.stats import Welford, half_width
 
 from conftest import run_once
@@ -25,16 +24,22 @@ REPLICATES = 4
 
 
 def compute_rows(executor=None):
-    spec = get_scenario(SCENARIO)
-    rows = speedup_sweep(
-        dict(spec.policy_factories()),
-        spec.build_traffic(),
-        n_slots=spec.slots,
-        speedups=SPEEDUPS,
-        base_config=spec.build_config(),
-        seeds=range(REPLICATES),
-        executor=executor,
-    )
+    spec = get_scenario(SCENARIO).with_overrides(seeds=range(REPLICATES),
+                                                 include_opt=True)
+    columns = spec.policy_labels() + ["OPT"]
+    rows = []
+    for s in SPEEDUPS:
+        run = run_scenario(
+            spec.with_overrides(switch={**spec.switch, "speedup": s}),
+            executor=executor,
+        )
+        benefit = {(m["seed"], m["policy"]): m["benefit"]
+                   for m in run.metrics}
+        for r in run.rows:
+            rows.append({"speedup": s, "seed": r["seed"],
+                         "arrived": r["arrived"],
+                         **{c: round(benefit[r["seed"], c], 3)
+                            for c in columns}})
     return rows
 
 

@@ -20,15 +20,14 @@ from repro import (
     CPGPolicy,
     CIOQSwitch,
     CrossbarSwitch,
-    BernoulliTraffic,
     SwitchConfig,
     crossbar_opt,
     render_cioq,
     render_crossbar,
     run_crossbar,
-    pareto_values,
 )
-from repro.analysis import buffer_sweep_crossbar, print_table
+from repro.analysis import print_table, ratio_of
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.switch import Packet
 
 
@@ -61,8 +60,20 @@ def main(argv=None) -> None:
     show_figures()
 
     n = 3
-    base = SwitchConfig.square(n, speedup=1, b_in=3, b_out=3, b_cross=1)
-    heavy = BernoulliTraffic(n, n, load=1.3, value_model=pareto_values(1.5))
+    spec = ScenarioSpec(
+        name="crossbar-fabric",
+        model="crossbar",
+        switch={"n_in": n, "n_out": n, "speedup": 1, "b_in": 3, "b_out": 3,
+                "b_cross": 1},
+        traffic_params={"load": 1.3},
+        values="pareto",
+        value_params={"shape": 1.5},
+        policies=({"name": "cpg"},),
+        slots=args.slots,
+        seeds=(args.seed, args.seed + 1),
+    )
+    base = spec.build_config()
+    heavy = spec.build_traffic()
 
     # CGU vs CPG on the same weighted trace (CGU ignores values).
     trace = heavy.generate(args.slots, seed=args.seed)
@@ -88,10 +99,18 @@ def main(argv=None) -> None:
         "of the value gap to OPT.\n"
     )
 
-    rows = buffer_sweep_crossbar(
-        CPGPolicy, heavy, n_slots=args.slots, b_cross_values=[1, 2, 4],
-        base_config=base, seeds=(args.seed, args.seed + 1),
-    )
+    # The same spec, swept over B(C): one scenario run per capacity.
+    rows = []
+    for bc in (1, 2, 4):
+        run = run_scenario(
+            spec.with_overrides(switch={**spec.switch, "b_cross": bc}))
+        benefit = {(m["seed"], m["policy"]): m["benefit"]
+                   for m in run.metrics}
+        for seed in spec.seeds:
+            onl, opt = benefit[seed, "cpg"], benefit[seed, "OPT"]
+            rows.append({"b_cross": bc, "seed": seed,
+                         "benefit": round(onl, 3), "opt": round(opt, 3),
+                         "ratio": round(ratio_of(opt, onl), 4)})
     print_table(rows, title="CPG vs OPT as crosspoint capacity B(C) grows (T10)")
     print(
         "The competitive guarantee already holds at B(C)=1; bigger\n"

@@ -62,7 +62,6 @@ _EXPORTS = {
     "OPT_MODES": ".offline",
     "bounds_opt": ".offline",
     "cioq_opt": ".offline",
-    "cioq_upper_bound": ".offline",
     "crossbar_opt": ".offline",
     "select_opt_mode": ".offline",
     "solve_opt": ".offline",
@@ -156,7 +155,6 @@ __all__ = [
     # offline optimum
     "cioq_opt",
     "crossbar_opt",
-    "cioq_upper_bound",
     "solve_opt",
     "select_opt_mode",
     "windowed_opt",

@@ -1,4 +1,4 @@
-"""Experiment harness: ratio measurements, sweeps, tables, efficiency."""
+"""Experiment harness: ratio measurements, tables, efficiency."""
 
 from .ratio import (
     RatioMeasurement,
@@ -18,14 +18,6 @@ from .report import (
     format_table,
     markdown_table,
     print_table,
-)
-from .sweep import (
-    beta_sweep_pg,
-    buffer_sweep_crossbar,
-    grid,
-    measurements_to_rows,
-    speedup_sweep,
-    threshold_sweep_cpg,
 )
 from .efficiency import (
     compare_unit_matching_cost,
@@ -53,12 +45,6 @@ __all__ = [
     "format_table",
     "markdown_table",
     "print_table",
-    "beta_sweep_pg",
-    "buffer_sweep_crossbar",
-    "grid",
-    "measurements_to_rows",
-    "speedup_sweep",
-    "threshold_sweep_cpg",
     "compare_unit_matching_cost",
     "compare_weighted_matching_cost",
     "efficiency_scaling_table",

@@ -73,97 +73,99 @@ from typing import Optional
 from .analysis.latency import occupancy_report
 from .analysis.ratio import measure_cioq_ratio, measure_crossbar_ratio
 from .analysis.report import format_table
-from .core.params import GM_RATIO, cpg_optimal_ratio
-from .scenarios import POLICY_CLASSES, RESULTS_DIR
+from .core.params import GM_RATIO, cpg_optimal_ratio, pg_ratio
+from .scenarios import POLICY_CLASSES, RESULTS_DIR, ScenarioSpec
 from .simulation.engine import run_cioq, run_crossbar
 from .switch.cioq import CIOQSwitch
 from .switch.config import SwitchConfig
 from .switch.crossbar import CrossbarSwitch
 from .switch.diagram import render_cioq, render_crossbar
-from .traffic.appmix import ApplicationMixTraffic
-from .traffic.bernoulli import BernoulliTraffic
-from .traffic.bursty import BurstyTraffic
-from .traffic.hotspot import DiagonalTraffic, HotspotTraffic
-from .traffic.values import (
-    pareto_values,
-    two_value,
-    uniform_values,
-    unit_values,
-)
 
-# Policy classes come from the scenario subsystem's shared registry;
-# the CLI annotates each with its proven ratio bound (None = no bound,
-# or bound depends on runtime parameters and is filled in _make_policy).
+# Proven ratio bounds by (model, policy); PG's and CPG's depend on their
+# thresholds and are filled in by _policy_and_bound.
 _BOUNDS = {
     ("cioq", "gm"): GM_RATIO,
     ("cioq", "maxmatch"): GM_RATIO,
     ("cioq", "maxweight"): 6.0,
     ("crossbar", "cgu"): 3.0,
 }
-CIOQ_POLICIES = {
-    name: (cls, _BOUNDS.get(("cioq", name)))
-    for name, cls in POLICY_CLASSES["cioq"].items()
-}
-CROSSBAR_POLICIES = {
-    name: (cls, _BOUNDS.get(("crossbar", name)))
-    for name, cls in POLICY_CLASSES["crossbar"].items()
-}
-VALUE_MODELS = {
-    "unit": unit_values,
-    "uniform": lambda: uniform_values(1, 100),
-    "two-value": lambda: two_value(10.0, 0.25),
-    "pareto": lambda: pareto_values(1.5),
+#: ``--values`` choices as the spec's ``value_params`` per value kind.
+VALUE_PARAMS = {
+    "unit": {},
+    "uniform": {"lo": 1, "hi": 100},
+    "two-value": {"alpha": 10.0, "p_high": 0.25},
+    "pareto": {"shape": 1.5},
 }
 TRAFFIC_MODELS = ("bernoulli", "bursty", "hotspot", "diagonal", "appmix")
 
 
-def _build_config(args) -> SwitchConfig:
-    return SwitchConfig.square(
-        args.n,
-        speedup=args.speedup,
-        b_in=args.b_in,
-        b_out=args.b_out,
-        b_cross=args.b_cross,
+def _traffic_params(kind: str, load: float) -> dict:
+    """The spec's ``traffic_params`` for ``--traffic kind`` at ``load``."""
+    if kind == "bursty":
+        return {"burst_load": max(load, 0.1) * 2}
+    if kind == "hotspot":
+        return {"load": load, "hot_fraction": 0.6}
+    if kind == "appmix":
+        return {"load_scale": load}
+    return {"load": load}
+
+
+def _policy_entries(model: str, names, beta: Optional[float]) -> tuple:
+    """Spec policy entries for CLI policy names; ``--beta`` applies to PG
+    only and keeps its column label ``pg``."""
+    table = POLICY_CLASSES[model]
+    entries = []
+    for name in names:
+        if name not in table:
+            raise SystemExit(
+                f"unknown policy {name!r} for model {model}; choose from "
+                f"{sorted(table)}"
+            )
+        if name == "pg" and beta:
+            entries.append({"name": "pg", "beta": beta, "label": "pg"})
+        else:
+            entries.append({"name": name})
+    return tuple(entries)
+
+
+def _spec_from_args(args, load: float) -> ScenarioSpec:
+    """The scenario a ``run``/``ratio``/``sweep``/``trace record``
+    invocation describes at one offered load (flag table in
+    docs/scenarios.md)."""
+    sweep = args.command == "sweep"
+    if sweep:
+        names = [p.strip() for p in args.policies.split(",") if p.strip()]
+    else:
+        names = [getattr(args, "policy", "gm")]
+    return ScenarioSpec(
+        name=f"cli-{args.command}",
+        model=args.model,
+        switch={"n_in": args.n, "n_out": args.n, "speedup": args.speedup,
+                "b_in": args.b_in, "b_out": args.b_out,
+                "b_cross": args.b_cross},
+        traffic=args.traffic,
+        traffic_params=_traffic_params(args.traffic, load),
+        values=args.values,
+        value_params=VALUE_PARAMS[args.values],
+        policies=_policy_entries(args.model, names, args.beta),
+        slots=args.slots,
+        seeds=range(args.seeds) if sweep else (args.seed,),
+        include_opt=sweep and args.opt,
+        metrics=("benefit",),
     )
 
 
-def _build_traffic(args, load=None):
-    load = args.load if load is None else load
-    values = VALUE_MODELS[args.values]()
-    if args.traffic == "bernoulli":
-        return BernoulliTraffic(args.n, args.n, load=load,
-                                value_model=values)
-    if args.traffic == "bursty":
-        return BurstyTraffic(args.n, args.n, burst_load=max(load, 0.1) * 2,
-                             value_model=values)
-    if args.traffic == "hotspot":
-        return HotspotTraffic(args.n, args.n, load=load,
-                              hot_fraction=0.6, value_model=values)
-    if args.traffic == "appmix":
-        return ApplicationMixTraffic(args.n, args.n, load_scale=load,
-                                     value_model=values)
-    return DiagonalTraffic(args.n, args.n, load=load, value_model=values)
-
-
-def _make_policy(name: str, model: str, beta: Optional[float]):
-    table = CIOQ_POLICIES if model == "cioq" else CROSSBAR_POLICIES
-    if name not in table:
-        raise SystemExit(
-            f"unknown policy {name!r} for model {model}; choose from "
-            f"{sorted(table)}"
-        )
-    factory, bound = table[name]
+def _policy_and_bound(spec: ScenarioSpec):
+    """The spec's single policy, instantiated, with its proven ratio
+    bound (``None`` when there is none)."""
+    (_, factory), = spec.policy_factories()
+    policy = factory()
+    name = spec.policies[0]["name"]
     if name == "pg":
-        policy = factory(beta=beta) if beta else factory()
-        from .core.params import pg_ratio
-
-        bound = pg_ratio(policy.beta)
-    elif name == "cpg":
-        policy = factory()
-        bound = cpg_optimal_ratio()
-    else:
-        policy = factory()
-    return policy, bound
+        return policy, pg_ratio(policy.beta)
+    if name == "cpg":
+        return policy, cpg_optimal_ratio()
+    return policy, _BOUNDS.get((spec.model, name))
 
 
 def _resolve_metrics_every(args) -> Optional[int]:
@@ -226,9 +228,10 @@ def cmd_figures(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _build_config(args)
-    trace = _build_traffic(args).generate(args.slots, seed=args.seed)
-    policy, _ = _make_policy(args.policy, args.model, args.beta)
+    spec = _spec_from_args(args, args.load)
+    config = spec.build_config()
+    trace = spec.build_traffic().generate(spec.slots, seed=args.seed)
+    policy, _ = _policy_and_bound(spec)
     runner = run_cioq if args.model == "cioq" else run_crossbar
     result = runner(policy, config, trace, record=args.delays,
                     trace_occupancy=args.occupancy)
@@ -243,9 +246,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    config = _build_config(args)
-    trace = _build_traffic(args).generate(args.slots, seed=args.seed)
-    policy, bound = _make_policy(args.policy, args.model, args.beta)
+    spec = _spec_from_args(args, args.load)
+    config = spec.build_config()
+    trace = spec.build_traffic().generate(spec.slots, seed=args.seed)
+    policy, bound = _policy_and_bound(spec)
     measure = (measure_cioq_ratio if args.model == "cioq"
                else measure_crossbar_ratio)
     m = measure(policy, trace, config, bound=bound,
@@ -258,83 +262,44 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from functools import partial
+    from .parallel import SweepExecutor
+    from .scenarios import run_scenario
 
-    from .parallel import SweepExecutor, SweepPoint
-
-    table = CIOQ_POLICIES if args.model == "cioq" else CROSSBAR_POLICIES
-    names = [p.strip() for p in args.policies.split(",") if p.strip()]
-    factories = {}
-    for name in names:
-        if name not in table:
-            raise SystemExit(
-                f"unknown policy {name!r} for model {args.model}; choose "
-                f"from {sorted(table)}"
-            )
-        cls, _bound = table[name]
-        if name == "pg" and args.beta:
-            factories[name] = partial(cls, beta=args.beta)
-        else:
-            factories[name] = cls
-
+    # One scenario per load, all through one executor: its cache
+    # counters, timings and merged metrics span the whole sweep, and the
+    # tables are independent of the worker count.
     loads = [float(x) for x in args.loads.split(",") if x.strip()]
-    seeds = list(range(args.seeds))
-    config = _build_config(args)
-
-    # One point per (load, seed, policy) — plus OPT when requested.
-    # Traces are generated here with deterministic per-cell seeds, so the
-    # point list (and therefore every table below) is independent of the
-    # worker count.
-    cells = []
-    points = []
-    for load in loads:
-        traffic = _build_traffic(args, load=load)
-        for seed in seeds:
-            trace = traffic.generate(args.slots, seed=seed)
-            cells.append((load, seed, len(trace)))
-            for name in names:
-                points.append(
-                    SweepPoint(model=args.model, config=config, trace=trace,
-                               policy_factory=factories[name], seed=seed)
-                )
-            if args.opt:
-                points.append(
-                    SweepPoint(model=args.model, config=config, trace=trace,
-                               seed=seed)
-                )
-
+    specs = [_spec_from_args(args, load) for load in loads]
     metrics_every = _resolve_metrics_every(args)
     ex = SweepExecutor(
         workers=args.workers, cache_dir=args.cache_dir,
         backend=args.backend, metrics_every=metrics_every,
         progress=_stderr_progress if metrics_every is not None else None,
     )
-    payloads = iter(ex.run(points))
-    columns = names + (["OPT"] if args.opt else [])
-    rows = []
-    for load, seed, arrived in cells:
-        row = {"load": round(load, 3), "seed": seed, "arrived": arrived}
-        for name in columns:
-            row[name] = round(next(payloads)["benefit"], 3)
-        rows.append(row)
+    runs = [run_scenario(spec, executor=ex) for spec in specs]
+
+    # Cells round the raw payload benefits (run.rows are pre-rounded).
+    rows, agg_rows = [], []
+    for load, run in zip(loads, runs):
+        columns = run.spec.policy_labels() + (["OPT"] if args.opt else [])
+        benefit = {(m["seed"], m["policy"]): m["benefit"]
+                   for m in run.metrics}
+        cell_rows = [
+            {"load": round(load, 3), "seed": r["seed"],
+             "arrived": r["arrived"],
+             **{c: round(benefit[r["seed"], c], 3) for c in columns}}
+            for r in run.rows
+        ]
+        rows.extend(cell_rows)
+        agg_rows.append({"load": round(load, 3), **{
+            c: round(sum(r[c] for r in cell_rows) / len(cell_rows), 3)
+            for c in columns}})
+    n_points = sum(len(run.metrics) for run in runs)
     print(format_table(
         rows,
         title=f"sweep: {args.model} {args.n}x{args.n}, {args.slots} slots, "
-              f"{len(points)} points",
+              f"{n_points} points",
     ))
-
-    agg_rows = []
-    # Group by position, not by the (rounded) load value: each load
-    # contributed exactly len(seeds) consecutive rows, and distinct
-    # loads may round to the same display value.
-    for k, load in enumerate(loads):
-        cell_rows = rows[k * len(seeds):(k + 1) * len(seeds)]
-        if not cell_rows:  # e.g. --seeds 0
-            continue
-        agg = {"load": round(load, 3)}
-        for name in columns:
-            agg[name] = round(sum(r[name] for r in cell_rows) / len(cell_rows), 3)
-        agg_rows.append(agg)
     print(format_table(agg_rows, title="per-load mean benefit"))
     if ex.cache_dir:
         print(f"cache: {ex.cache_hits} hits, {ex.cache_misses} misses "
@@ -545,7 +510,7 @@ def cmd_trace_record(args) -> int:
 
     from .traffic.trace import STREAM_FORMAT, STREAM_VERSION
 
-    model = _build_traffic(args)
+    model = _spec_from_args(args, args.load).build_traffic()
     source = model.arrival_source(seed=args.seed)
     chunk_slots = args.chunk_slots
     if chunk_slots < 1:
@@ -643,7 +608,9 @@ def cmd_trace_replay(args) -> int:
 
         rec = InMemoryRecorder(every_k=metrics_every, timed=True)
 
-    policy, _ = _make_policy(args.policy, args.model, args.beta)
+    policy, _ = _policy_and_bound(ScenarioSpec(
+        name="trace-replay", model=args.model,
+        policies=_policy_entries(args.model, [args.policy], args.beta)))
     if is_stream_file(args.path):
         header = read_stream_header(args.path)
         n_in, n_out = int(header["n_in"]), int(header["n_out"])
@@ -896,7 +863,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b-out", type=int, default=4, dest="b_out")
     p.add_argument("--b-cross", type=int, default=1, dest="b_cross")
     p.add_argument("--traffic", choices=TRAFFIC_MODELS, default="bernoulli")
-    p.add_argument("--values", choices=sorted(VALUE_MODELS), default="unit")
+    p.add_argument("--values", choices=sorted(VALUE_PARAMS), default="unit")
     p.add_argument("--load", type=float, default=1.0)
     p.add_argument("--slots", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)

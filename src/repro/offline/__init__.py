@@ -1,8 +1,6 @@
 """Offline optimum substrate: exact OPT and bounds for both switch models."""
 
-from .mcmf import MinCostFlow
-from .timegraph import (CIOQOptModel, OptResult, cioq_relaxation_bound, default_horizon,
-                        window_drain_slots)
+from .timegraph import CIOQOptModel, OptResult, default_horizon, window_drain_slots
 from .crossbar_timegraph import CrossbarOptModel
 from .bruteforce import bruteforce_cioq_opt_unit
 from .decompose import OptSchedule, PacketItinerary, decompose_cioq_opt
@@ -15,17 +13,14 @@ from .windowed import (
 from .opt import (
     OPT_MODES,
     cioq_opt,
-    cioq_upper_bound,
     crossbar_opt,
     select_opt_mode,
     solve_opt,
 )
 
 __all__ = [
-    "MinCostFlow",
     "CIOQOptModel",
     "OptResult",
-    "cioq_relaxation_bound",
     "default_horizon",
     "CrossbarOptModel",
     "bruteforce_cioq_opt_unit",
@@ -41,7 +36,6 @@ __all__ = [
     "windowed_opt",
     "OPT_MODES",
     "cioq_opt",
-    "cioq_upper_bound",
     "crossbar_opt",
     "select_opt_mode",
     "solve_opt",

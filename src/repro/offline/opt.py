@@ -27,8 +27,8 @@ from ..switch.config import SwitchConfig
 from ..traffic.trace import Trace
 from .bounds import bounds_opt
 from .crossbar_timegraph import CrossbarOptModel
-from .timegraph import (CIOQOptModel, OptResult, cioq_relaxation_bound,
-                        default_horizon, window_drain_slots)
+from .timegraph import (CIOQOptModel, OptResult, default_horizon,
+                        window_drain_slots)
 from .windowed import windowed_opt
 
 #: Recognised ``mode=`` values, in increasing order of approximation.
@@ -159,11 +159,3 @@ def crossbar_opt(
                      window=window, horizon=horizon,
                      extract_schedule=extract_schedule)
 
-
-def cioq_upper_bound(
-    trace: Trace,
-    config: SwitchConfig,
-    horizon: Optional[int] = None,
-) -> float:
-    """Fast flow-relaxation upper bound on the CIOQ offline optimum."""
-    return cioq_relaxation_bound(trace, config, horizon=horizon)

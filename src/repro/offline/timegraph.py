@@ -25,10 +25,6 @@ already integral: :meth:`CIOQOptModel.solve` accepts that vertex
 when it certifies itself optimal and branches only when it does not
 (LP vertex, then a MILP restricted to the packets the LP left
 fractional, then the full MILP; see ``docs/offline_opt.md``).
-:func:`cioq_relaxation_bound` additionally computes a fast pure-flow
-*upper bound* that relaxes packet identity at the input-port nodes —
-useful for quick sanity bounds on instances too large for the exact
-model, and as a cross-check (``exact <= relaxation`` always).
 
 **Drain lemma.**  With no further arrivals, any feasible buffer state of
 either switch model can be fully delivered within ``Delta + b_out + 1``
@@ -75,7 +71,6 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..switch.config import SwitchConfig
 from ..traffic.trace import Trace
-from .mcmf import MinCostFlow
 
 
 @dataclass
@@ -487,104 +482,3 @@ class CIOQOptModel(TimeExpandedModel):
             (t, j) for (j, t), v in self.var_w.items() if x[v] > 0.5
         )
 
-
-def cioq_relaxation_bound(
-    trace: Trace,
-    config: SwitchConfig,
-    horizon: Optional[int] = None,
-) -> float:
-    """Fast flow-based *upper bound* on the CIOQ offline optimum.
-
-    Builds the time-expanded network with explicit input-port and
-    output-port cycle nodes.  Routing a unit through ``IP(i,t,s)`` then
-    ``OP(j,t,s)`` charges both port budgets but forgets which VOQ the
-    unit came from, so the bound may exceed the exact optimum (never the
-    other way around).  Solved with the from-scratch
-    :class:`~repro.offline.mcmf.MinCostFlow`.
-    """
-    cfg = config
-    H = horizon if horizon is not None else default_horizon(trace, cfg)
-    S = cfg.speedup
-    packets = trace.packets
-    if not packets:
-        return 0.0
-
-    counter = [0]
-
-    def new_node() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    src = new_node()
-    snk = new_node()
-    pkt_nodes = [new_node() for _ in packets]
-    # Split nodes: entry ("a") collects inflow, exit ("b") emits outflow;
-    # the a->b arc carries the occupancy capacity.
-    v_a = {}
-    v_b = {}
-    active_pairs = sorted({(p.src, p.dst) for p in packets})
-    first_arrival = {}
-    for p in packets:
-        key = (p.src, p.dst)
-        first_arrival[key] = min(first_arrival.get(key, H), p.arrival)
-    for key in active_pairs:
-        for t in range(first_arrival[key], H):
-            v_a[key + (t,)] = new_node()
-            v_b[key + (t,)] = new_node()
-    ip_a = {}
-    ip_b = {}
-    op_a = {}
-    op_b = {}
-    active_inputs = sorted({i for i, _ in active_pairs})
-    active_outputs = sorted({j for _, j in active_pairs})
-    in_first = {i: min(t for (a, _), t in first_arrival.items() if a == i)
-                for i in active_inputs}
-    out_first = {j: min(t for (_, b), t in first_arrival.items() if b == j)
-                 for j in active_outputs}
-    for i in active_inputs:
-        for t in range(in_first[i], H):
-            for s in range(S):
-                ip_a[(i, t, s)] = new_node()
-                ip_b[(i, t, s)] = new_node()
-    for j in active_outputs:
-        for t in range(out_first[j], H):
-            for s in range(S):
-                op_a[(j, t, s)] = new_node()
-                op_b[(j, t, s)] = new_node()
-    o_a = {}
-    o_b = {}
-    for j in active_outputs:
-        for t in range(out_first[j], H):
-            o_a[(j, t)] = new_node()
-            o_b[(j, t)] = new_node()
-
-    g = MinCostFlow(counter[0])
-    for k, p in enumerate(packets):
-        g.add_edge(src, pkt_nodes[k], 1, -p.value)
-        g.add_edge(pkt_nodes[k], v_a[(p.src, p.dst, p.arrival)], 1, 0.0)
-    for key in active_pairs:
-        i, j = key
-        for t in range(first_arrival[key], H):
-            g.add_edge(v_a[key + (t,)], v_b[key + (t,)], cfg.b_in, 0.0)
-            if t + 1 < H:
-                g.add_edge(v_b[key + (t,)], v_a[key + (t + 1,)], cfg.b_in, 0.0)
-            for s in range(S):
-                g.add_edge(v_b[key + (t,)], ip_a[(i, t, s)], 1, 0.0)
-    for (i, t, s), a in ip_a.items():
-        g.add_edge(a, ip_b[(i, t, s)], 1, 0.0)
-    for i, j in active_pairs:
-        for t in range(max(in_first[i], out_first[j]), H):
-            for s in range(S):
-                g.add_edge(ip_b[(i, t, s)], op_a[(j, t, s)], 1, 0.0)
-    for (j, t, s), a in op_a.items():
-        g.add_edge(a, op_b[(j, t, s)], 1, 0.0)
-        g.add_edge(op_b[(j, t, s)], o_a[(j, t)], 1, 0.0)
-    for j in active_outputs:
-        for t in range(out_first[j], H):
-            g.add_edge(o_a[(j, t)], o_b[(j, t)], cfg.b_out, 0.0)
-            g.add_edge(o_b[(j, t)], snk, 1, 0.0)  # one transmission per slot
-            if t + 1 < H:
-                g.add_edge(o_b[(j, t)], o_a[(j, t + 1)], cfg.b_out, 0.0)
-
-    _flow, cost = g.solve_max_benefit(src, snk)
-    return -cost

@@ -33,10 +33,9 @@ order regardless of worker scheduling — so a sweep produces bit-identical
 tables for any worker count, cold or resumed (the ``repro sweep`` CLI
 and the farm CI smoke expose exactly this guarantee).
 
-Used by :mod:`repro.analysis.sweep`, the ``bench_t*.py`` experiment
-drivers (via ``benchmarks/conftest.py``), the scenario/replication
-runners, the experiment farm (:mod:`repro.farm`) and the ``repro
-sweep`` CLI command.  See ``docs/parallel.md`` for the cache key
+Used by the scenario/replication runners (and through them by the
+``bench_t*.py`` experiment drivers and the ``repro sweep`` CLI verb)
+and the experiment farm (:mod:`repro.farm`).  See ``docs/parallel.md`` for the cache key
 schema, store layout and determinism contract.
 """
 

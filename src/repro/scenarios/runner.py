@@ -4,8 +4,11 @@
 into :class:`~repro.parallel.SweepPoint` units — one per (seed, policy)
 plus an exact-OPT point per seed when requested — and executes them
 through a :class:`~repro.parallel.SweepExecutor`, so every scenario
-parallelizes over ``--workers`` processes and caches on disk exactly
-like the sweeps, with bit-identical results for any worker count.
+parallelizes over ``--workers`` processes and caches on disk, with
+bit-identical results for any worker count.  It is the one place an
+experiment becomes sweep points: ``repro sweep`` and the benchmark
+grids state theirs as specs (one run per switch setting via
+:meth:`ScenarioSpec.with_overrides`).
 
 :func:`write_artifacts` persists a run under ``results/<name>/`` as
 

@@ -49,13 +49,12 @@ class SwitchConfig:
     b_cross: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_in < 1 or self.n_out < 1:
-            raise ValueError("switch must have at least one input and output port")
-        if self.speedup < 1:
-            raise ValueError(f"speedup must be >= 1, got {self.speedup}")
-        for name in ("b_in", "b_out", "b_cross"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # nan < 1 is False, so a bare comparison would let nan (and
+        # fractional sizes) through: demand a true integer first.
+        for name in ("n_in", "n_out", "speedup", "b_in", "b_out", "b_cross"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     @classmethod
     def square(

@@ -16,6 +16,7 @@ A value model is a callable ``(rng) -> float`` plus a descriptive name.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -45,8 +46,8 @@ def unit_values() -> ValueModel:
 
 def uniform_values(lo: float = 1.0, hi: float = 100.0) -> ValueModel:
     """Values uniform on [lo, hi]."""
-    if not 0 < lo <= hi:
-        raise ValueError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError(f"need finite 0 < lo <= hi, got [{lo}, {hi}]")
     return ValueModel(
         f"uniform[{lo:g},{hi:g}]", lambda rng: rng.uniform(lo, hi)
     )
@@ -55,8 +56,8 @@ def uniform_values(lo: float = 1.0, hi: float = 100.0) -> ValueModel:
 def two_value(alpha: float = 10.0, p_high: float = 0.2) -> ValueModel:
     """Two service classes: value 1 w.p. (1 - p_high), value alpha w.p.
     p_high — the {1, α} regime of Section 1.2's related work."""
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
     if not 0.0 <= p_high <= 1.0:
         raise ValueError(f"p_high must be in [0,1], got {p_high}")
     return ValueModel(
@@ -67,8 +68,8 @@ def two_value(alpha: float = 10.0, p_high: float = 0.2) -> ValueModel:
 
 def exponential_values(mean: float = 10.0) -> ValueModel:
     """Values 1 + Exp(mean - 1): light-tailed, strictly positive."""
-    if mean <= 1.0:
-        raise ValueError(f"mean must be > 1, got {mean}")
+    if not 1.0 < mean < math.inf:
+        raise ValueError(f"mean must be finite and > 1, got {mean}")
     return ValueModel(
         f"exp(mean={mean:g})", lambda rng: 1.0 + rng.exponential(mean - 1.0)
     )
@@ -80,8 +81,10 @@ def pareto_values(shape: float = 1.5, scale: float = 1.0) -> ValueModel:
     Small shapes create extreme value skew, the regime where preemption
     decisions (and the beta threshold) matter most.
     """
-    if shape <= 0 or scale <= 0:
-        raise ValueError("shape and scale must be positive")
+    if not (0 < shape < math.inf and 0 < scale < math.inf):
+        raise ValueError(
+            f"shape and scale must be finite and positive, got "
+            f"shape={shape}, scale={scale}")
     return ValueModel(
         f"pareto(shape={shape:g},scale={scale:g})",
         lambda rng: scale * (1.0 + rng.pareto(shape)),
@@ -91,8 +94,11 @@ def pareto_values(shape: float = 1.5, scale: float = 1.0) -> ValueModel:
 def geometric_class_values(n_classes: int = 4, base: float = 4.0) -> ValueModel:
     """``n_classes`` priority classes with values base^0..base^(k-1),
     drawn uniformly — models strict-priority QoS tiers."""
-    if n_classes < 1 or base <= 1.0:
-        raise ValueError("need n_classes >= 1 and base > 1")
+    if (isinstance(n_classes, bool) or not isinstance(n_classes, int)
+            or n_classes < 1 or not 1.0 < base < math.inf):
+        raise ValueError(
+            f"need an integer n_classes >= 1 and a finite base > 1, got "
+            f"n_classes={n_classes!r}, base={base}")
     values = [base ** k for k in range(n_classes)]
     return ValueModel(
         f"classes(k={n_classes},base={base:g})",

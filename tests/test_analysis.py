@@ -16,19 +16,11 @@ from repro.analysis.ratio import (
     worst,
 )
 from repro.analysis.report import format_table, markdown_table
-from repro.analysis.sweep import (
-    beta_sweep_pg,
-    buffer_sweep_crossbar,
-    grid,
-    speedup_sweep,
-    threshold_sweep_cpg,
-)
 from repro.core.cgu import CGUPolicy
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
-from repro.switch.config import SwitchConfig
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.traffic.bernoulli import BernoulliTraffic
-from repro.traffic.values import two_value
 
 
 class TestRatioMeasurement:
@@ -77,55 +69,72 @@ class TestRatioMeasurement:
             worst([])
 
 
+#: The ``small_config`` fixture's switch, as spec fields.
+SMALL_SWITCH = {"n_in": 3, "n_out": 3, "speedup": 1, "b_in": 2, "b_out": 2,
+                "b_cross": 1}
+
+
+def _ratios(run):
+    """Per-policy mean ratio vs OPT, OPT's own row excluded."""
+    return [a["mean_ratio"] for a in run.aggregates if a["policy"] != "OPT"]
+
+
 class TestSweeps:
-    def test_grid(self):
-        rows = grid(a=[1, 2], b=["x"])
-        assert rows == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
+    """Parameter grids as scenario specs: one policy entry per threshold
+    setting, or one ``with_overrides`` run per switch setting."""
 
-    def test_beta_sweep_rows(self, small_config):
-        trace = BernoulliTraffic(
-            3, 3, load=1.3, value_model=two_value(8, 0.3)
-        ).generate(12, seed=1)
-        rows = beta_sweep_pg(trace, small_config, [1.5, 2.414])
-        assert len(rows) == 2
-        assert all(r["ratio"] >= 1.0 for r in rows)
-        # OPT column identical across betas (computed once, beta-free).
-        assert len({r["opt_benefit"] for r in rows}) == 1
+    def test_beta_sweep_rows(self):
+        spec = ScenarioSpec(
+            name="beta-rows", switch=SMALL_SWITCH,
+            traffic_params={"load": 1.3}, values="two-value",
+            value_params={"alpha": 8, "p_high": 0.3},
+            policies=({"name": "pg", "beta": 1.5},
+                      {"name": "pg", "beta": 2.414}),
+            slots=12, seeds=(1,),
+        )
+        run = run_scenario(spec)
+        assert len(_ratios(run)) == 2
+        assert all(r >= 1.0 for r in _ratios(run))
+        # OPT is solved once per seed, shared by every beta.
+        assert [m["policy"] for m in run.metrics].count("OPT") == 1
 
-    def test_threshold_sweep_cpg(self, small_config):
-        trace = BernoulliTraffic(
-            3, 3, load=1.3, value_model=two_value(8, 0.3)
-        ).generate(10, seed=1)
-        rows = threshold_sweep_cpg(trace, small_config, [1.5, 2.0], [2.0])
-        assert len(rows) == 2
-        assert all(r["ratio"] >= 1.0 for r in rows)
+    def test_threshold_sweep_cpg(self):
+        spec = ScenarioSpec(
+            name="threshold-rows", model="crossbar", switch=SMALL_SWITCH,
+            traffic_params={"load": 1.3}, values="two-value",
+            value_params={"alpha": 8, "p_high": 0.3},
+            policies=({"name": "cpg", "beta": 1.5, "alpha": 2.0},
+                      {"name": "cpg", "beta": 2.0, "alpha": 2.0}),
+            slots=10, seeds=(1,),
+        )
+        ratios = _ratios(run_scenario(spec))
+        assert len(ratios) == 2
+        assert all(r >= 1.0 for r in ratios)
 
     def test_speedup_sweep(self):
-        base = SwitchConfig.square(3, b_in=2, b_out=2)
-        rows = speedup_sweep(
-            {"GM": GMPolicy},
-            BernoulliTraffic(3, 3, load=1.2),
-            n_slots=10,
-            speedups=[1, 2],
-            base_config=base,
-            seeds=(0,),
+        spec = ScenarioSpec(
+            name="speedup-rows",
+            switch={"n_in": 3, "n_out": 3, "b_in": 2, "b_out": 2},
+            traffic_params={"load": 1.2}, policies=({"name": "gm"},),
+            slots=10, seeds=(0,),
         )
-        assert len(rows) == 2
-        assert all("GM" in r and "OPT" in r for r in rows)
-        assert all(r["GM"] <= r["OPT"] + 1e-6 for r in rows)
+        for speedup in (1, 2):
+            run = run_scenario(spec.with_overrides(
+                switch={**spec.switch, "speedup": speedup}))
+            (row,) = run.rows
+            assert row["gm"] <= row["OPT"] + 1e-6
 
     def test_buffer_sweep(self):
-        base = SwitchConfig.square(3, b_in=2, b_out=2, b_cross=1)
-        rows = buffer_sweep_crossbar(
-            CGUPolicy,
-            BernoulliTraffic(3, 3, load=1.2),
-            n_slots=8,
-            b_cross_values=[1, 2],
-            base_config=base,
-            seeds=(0,),
+        spec = ScenarioSpec(
+            name="buffer-rows", model="crossbar",
+            switch={"n_in": 3, "n_out": 3, "b_in": 2, "b_out": 2},
+            traffic_params={"load": 1.2}, policies=({"name": "cgu"},),
+            slots=8, seeds=(0,),
         )
-        assert len(rows) == 2
-        assert all(r["ratio"] >= 1.0 for r in rows)
+        for b_cross in (1, 2):
+            run = run_scenario(spec.with_overrides(
+                switch={**spec.switch, "b_cross": b_cross}))
+            assert all(r >= 1.0 for r in _ratios(run))
 
 
 class TestReport:

@@ -27,9 +27,52 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["--load", "nan"], ["--load", "inf"], ["--load", "-1"], ["--n", "0"],
-    ], ids=["load-nan", "load-inf", "load-negative", "zero-ports"])
+        ["--slots", "0"],
+    ], ids=["load-nan", "load-inf", "load-negative", "zero-ports",
+            "zero-slots"])
     def test_bad_value_exits_2_with_one_line(self, argv, capsys):
         assert main(["run", "--slots", "5", *argv]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert captured.out == ""
+
+
+#: ``repro sweep`` stdout for SWEEP_ARGV, captured before the verb ran
+#: through scenario specs; trailing blanks are part of the table layout.
+SWEEP_ARGV = ["sweep", "--policies", "gm,pg", "--beta", "1.5",
+              "--loads", "0.9,1.3", "--seeds", "2", "--slots", "8",
+              "--n", "3", "--opt", "--traffic", "bursty",
+              "--values", "two-value"]
+SWEEP_GOLDEN = "\n".join([
+    "sweep: cioq 3x3, 8 slots, 12 points",
+    "load  seed  arrived  gm   pg   OPT",
+    "----  ----  -------  ---  ---  ---",
+    "0.9   0     27       79   88   90 ",
+    "0.9   1     5        14   14   14 ",
+    "1.3   0     39       122  131  133",
+    "1.3   1     50       134  150  154",
+    "",
+    "per-load mean benefit",
+    "load  gm    pg     OPT  ",
+    "----  ----  -----  -----",
+    "0.9   46.5  51     52   ",
+    "1.3   128   140.5  143.5",
+    "",
+    "",
+])
+
+
+class TestSweepVerb:
+    def test_golden_stdout(self, capsys):
+        assert main(SWEEP_ARGV) == 0
+        assert capsys.readouterr().out == SWEEP_GOLDEN
+
+    @pytest.mark.parametrize("argv", [
+        ["--seeds", "0"], ["--slots", "0", "--seeds", "1"],
+    ], ids=["no-seeds", "no-slots"])
+    def test_empty_grid_exits_2_with_one_line(self, argv, capsys):
+        assert main(["sweep", "--n", "3", *argv]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -4,13 +4,6 @@ from functools import partial
 
 import pytest
 
-from repro.analysis.sweep import (
-    beta_sweep_pg,
-    buffer_sweep_crossbar,
-    speedup_sweep,
-    threshold_sweep_cpg,
-)
-from repro.core.cgu import CGUPolicy
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
 from repro.parallel import (
@@ -19,12 +12,12 @@ from repro.parallel import (
     describe_factory,
     run_sweep_point,
 )
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.scheduling.baselines import MaxMatchPolicy
 from repro.simulation.engine import run_cioq
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
-from repro.traffic.hotspot import HotspotTraffic
-from repro.traffic.values import two_value, uniform_values
+from repro.traffic.values import uniform_values
 
 
 @pytest.fixture
@@ -145,67 +138,86 @@ class TestExecutor:
         assert again == first
 
 
+#: The 3x3 small-buffer switch of the ``config`` fixture, as spec fields.
+SWITCH = {"n_in": 3, "n_out": 3, "speedup": 1, "b_in": 2, "b_out": 2,
+          "b_cross": 1}
+
+
+def _output(run):
+    return run.rows, run.metrics, run.aggregates
+
+
+def _switch_grid(spec, field, values, executor=None):
+    """One scenario run per value of switch ``field``."""
+    return [
+        _output(run_scenario(
+            spec.with_overrides(switch={**spec.switch, field: value}),
+            executor=executor))
+        for value in values
+    ]
+
+
 class TestSweepFunctionsThroughExecutor:
-    """The rewired analysis sweeps produce identical rows for serial,
-    parallel, and cached executors."""
+    """Experiment grids stated as scenario specs give identical results
+    for serial, parallel, and cached executors."""
 
-    def test_beta_sweep(self, config, tmp_path):
-        trace = BernoulliTraffic(
-            3, 3, load=1.4, value_model=two_value(10, 0.3)
-        ).generate(12, seed=2)
+    def test_beta_sweep(self, tmp_path):
         betas = [1.2, 2.0, 3.0]
-        serial = beta_sweep_pg(trace, config, betas)
-        parallel = beta_sweep_pg(
-            trace, config, betas, executor=SweepExecutor(workers=2)
+        spec = ScenarioSpec(
+            name="beta-grid", switch=SWITCH, traffic_params={"load": 1.4},
+            values="two-value", value_params={"alpha": 10, "p_high": 0.3},
+            policies=tuple({"name": "pg", "beta": b} for b in betas),
+            slots=12, seeds=(2,),
         )
+        serial = _output(run_scenario(spec))
+        parallel = _output(
+            run_scenario(spec, executor=SweepExecutor(workers=2)))
         cached_ex = SweepExecutor(cache_dir=str(tmp_path))
-        cached_cold = beta_sweep_pg(trace, config, betas, executor=cached_ex)
-        cached_warm = beta_sweep_pg(trace, config, betas, executor=cached_ex)
+        cached_cold = _output(run_scenario(spec, executor=cached_ex))
+        cached_warm = _output(run_scenario(spec, executor=cached_ex))
         assert serial == parallel == cached_cold == cached_warm
-        assert cached_ex.cache_hits == len(betas)
+        # Every beta point and the one shared OPT point hit when warm.
+        assert cached_ex.cache_hits == len(betas) + 1
 
-    def test_threshold_sweep(self, config):
-        trace = BernoulliTraffic(
-            3, 3, load=1.4, value_model=two_value(10, 0.3)
-        ).generate(10, seed=4)
-        serial = threshold_sweep_cpg(trace, config, [1.5, 2.0], [2.0, 3.0])
-        parallel = threshold_sweep_cpg(
-            trace, config, [1.5, 2.0], [2.0, 3.0],
-            executor=SweepExecutor(workers=2),
+    def test_threshold_sweep(self):
+        spec = ScenarioSpec(
+            name="threshold-grid", model="crossbar", switch=SWITCH,
+            traffic_params={"load": 1.4}, values="two-value",
+            value_params={"alpha": 10, "p_high": 0.3},
+            policies=tuple({"name": "cpg", "beta": b, "alpha": a}
+                           for b in (1.5, 2.0) for a in (2.0, 3.0)),
+            slots=10, seeds=(4,),
         )
+        serial = _output(run_scenario(spec))
+        parallel = _output(
+            run_scenario(spec, executor=SweepExecutor(workers=2)))
         assert serial == parallel
 
     def test_speedup_sweep(self):
-        base = SwitchConfig.square(3, b_in=2, b_out=2)
-        traffic = HotspotTraffic(3, 3, load=1.3, hot_fraction=0.5)
-        kwargs = dict(
-            policy_factories={"GM": GMPolicy, "MaxMatch": MaxMatchPolicy},
-            traffic=traffic,
-            n_slots=10,
-            speedups=[1, 2],
-            base_config=base,
-            seeds=(0, 1),
+        spec = ScenarioSpec(
+            name="speedup-grid",
+            switch={"n_in": 3, "n_out": 3, "b_in": 2, "b_out": 2},
+            traffic="hotspot",
+            traffic_params={"load": 1.3, "hot_fraction": 0.5},
+            policies=({"name": "gm"}, {"name": "maxmatch"}),
+            slots=10, seeds=(0, 1),
         )
-        serial = speedup_sweep(**kwargs)
-        parallel = speedup_sweep(**kwargs, executor=SweepExecutor(workers=3))
+        serial = _switch_grid(spec, "speedup", [1, 2])
+        parallel = _switch_grid(spec, "speedup", [1, 2],
+                                SweepExecutor(workers=3))
         assert serial == parallel
-        assert {r["speedup"] for r in serial} == {1, 2}
+        opt_means = [aggs[-1]["mean_benefit"] for _rows, _m, aggs in serial]
+        assert opt_means[0] <= opt_means[1] + 1e-6
 
     def test_buffer_sweep(self):
-        base = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2, b_cross=1)
-        traffic = BernoulliTraffic(3, 3, load=1.5)
-        kwargs = dict(
-            policy_factory=CGUPolicy,
-            traffic=traffic,
-            n_slots=10,
-            b_cross_values=[1, 2],
-            base_config=base,
-            seeds=(0,),
+        spec = ScenarioSpec(
+            name="buffer-grid", model="crossbar", switch=SWITCH,
+            traffic_params={"load": 1.5}, policies=({"name": "cgu"},),
+            slots=10, seeds=(0,),
         )
-        serial = buffer_sweep_crossbar(**kwargs)
-        parallel = buffer_sweep_crossbar(
-            **kwargs, executor=SweepExecutor(workers=2)
-        )
+        serial = _switch_grid(spec, "b_cross", [1, 2])
+        parallel = _switch_grid(spec, "b_cross", [1, 2],
+                                SweepExecutor(workers=2))
         assert serial == parallel
 
 

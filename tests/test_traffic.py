@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.scenarios import VALUE_KINDS
 from repro.switch.packet import Packet
 from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.appmix import ApplicationMixTraffic
@@ -69,6 +70,33 @@ class TestTrace:
         d = t.describe()
         assert d["n_packets"] == 1
         assert d["unit_valued"] is True
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: Rejected parameter sets per value kind (``unit`` takes none).
+BAD_VALUE_PARAMS = {
+    "unit": [],
+    "uniform": [{"lo": 5.0, "hi": 2.0}, {"lo": 0.0}, {"lo": NAN},
+                {"hi": INF}, {"hi": NAN}],
+    "two-value": [{"alpha": 0.5}, {"alpha": INF}, {"alpha": NAN},
+                  {"p_high": 1.5}, {"p_high": NAN}],
+    "exponential": [{"mean": 1.0}, {"mean": INF}, {"mean": NAN}],
+    "pareto": [{"shape": 0.0}, {"shape": NAN}, {"shape": INF},
+               {"scale": -1.0}, {"scale": NAN}, {"scale": INF}],
+    "classes": [{"n_classes": 0}, {"n_classes": 2.5}, {"base": 1.0},
+                {"base": NAN}, {"base": INF}],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+def test_value_factory_rejects_bad_params(kind, rng):
+    for params in BAD_VALUE_PARAMS[kind]:
+        with pytest.raises(ValueError):
+            VALUE_KINDS[kind](**params)
+    # The defaults build a model that draws finite positive values.
+    value = VALUE_KINDS[kind]()(rng)
+    assert 0 < value < INF
 
 
 class TestValueModels:
