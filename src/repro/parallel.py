@@ -16,7 +16,7 @@ the fan-out substrate:
   with chunked dispatch, optionally backed by the content-addressed
   :class:`~repro.farm.store.ResultStore` keyed by (policy spec, config,
   trace content, seed).  With ``workers <= 1`` everything runs
-  in-process.
+  in-process, with the exact-OPT solves overlapped on a helper thread.
 
 Sweeps are *incremental*: :meth:`SweepExecutor.run` partitions its
 points into store hits and missing keys, executes only the missing
@@ -44,8 +44,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import queue
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from multiprocessing import get_context
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
@@ -80,7 +84,23 @@ KILL_AFTER_ENV = "REPRO_FARM_KILL_AFTER"
 #: exactly-once ledger the concurrent-writer tests diff.
 EXEC_LOG_ENV = "REPRO_FARM_EXEC_LOG"
 
+#: Most exact-OPT solves an in-process run overlaps.  HiGHS releases
+#: the GIL, so a second solver thread cuts the wall time of the
+#: registry's 37 solves by about a third on two CPUs.  Each concurrent
+#: solve holds about 4-6 MB of native HiGHS memory: two solvers raised
+#: the registry's peak RSS by about 7%, three by 11-12%, past the
+#: benchmark's 10% bound, for no further gain on two CPUs.
+OPT_SOLVERS = 2
+
 PolicyFactory = Callable[[], object]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class SweepKilled(RuntimeError):
@@ -278,7 +298,12 @@ class SweepExecutor:
     workers:
         Process count.  ``<= 1`` (the default) runs in-process; ``N >
         1`` fans uncached points out over a ``multiprocessing`` pool in
-        deterministic chunks.
+        deterministic chunks.  An in-process run with two or more OPT
+        points overlaps their solves on ``min(OPT_SOLVERS, usable CPUs,
+        OPT points)`` solvers: the calling thread plus helper threads
+        (HiGHS releases the GIL).  Publishing stays on the calling
+        thread and payloads land by point index, so artifacts are
+        unchanged; a pool run never starts a thread.
     cache_dir:
         Root of the content-addressed result store
         (:class:`~repro.farm.store.ResultStore`; directories created on
@@ -328,6 +353,8 @@ class SweepExecutor:
     cache outcomes, and ``timings`` is the per-point wall-time ledger
     (list of ``{"index", "policy", "trace", "seed", "pid", "elapsed"}``
     dicts) — quarantined, non-deterministic data for ``timings.json``.
+    Overlapped OPT solves each count their own wall time, so the
+    ``elapsed`` entries of a run can sum past its wall time.
     """
 
     def __init__(
@@ -582,8 +609,77 @@ class SweepExecutor:
                                             chunksize=max(1, chunk)),
                         publish)
         else:
-            for task in tasks:
+            self._run_in_process(tasks, func, publish)
+
+    def _run_in_process(self, tasks: List[tuple], func, publish) -> None:
+        """Run ``tasks`` in this process, overlapping the OPT solves.
+
+        The run uses ``min(OPT_SOLVERS, usable CPUs, OPT tasks)``
+        solvers: the calling thread plus that many less one helper
+        threads (one at the default cap, none with a single CPU or
+        fewer than two OPT tasks).  Helpers take OPT tasks off a shared
+        queue from the start; the calling thread runs the policy tasks,
+        then takes OPT tasks off the same queue.  Only the calling
+        thread publishes: it drains the helpers' results between its
+        own tasks and after them, and payloads land by point index.
+        Helpers are joined before this returns or raises, and a
+        helper's exception re-raises here.  A pool run only gets here
+        with a single task, so threads never stack on pool processes.
+        """
+        opt: deque = deque()
+        rest: List[tuple] = []
+        for task in tasks:
+            _, items = task
+            (opt if items[0][1].policy_factory is None else rest).append(task)
+
+        def take() -> Optional[tuple]:
+            try:
+                return opt.popleft()  # atomic: a deque pop is thread-safe
+            except IndexError:
+                return None
+
+        done: queue.SimpleQueue = queue.SimpleQueue()
+
+        def solve() -> None:
+            try:
+                for task in iter(take, None):
+                    done.put(func(task))
+            except BaseException as exc:  # re-raised on the calling thread
+                done.put(exc)
+            finally:
+                done.put(None)
+
+        helpers = [
+            threading.Thread(target=solve, name="repro-opt-solver",
+                             daemon=True)
+            for _ in range(min(OPT_SOLVERS, _usable_cpus(), len(opt)) - 1)]
+        live = len(helpers)
+
+        def finished(block: bool):
+            nonlocal live
+            while live:
+                try:
+                    item = done.get(block=block)
+                except queue.Empty:
+                    return
+                if item is None:
+                    live -= 1
+                elif isinstance(item, BaseException):
+                    raise item
+                else:
+                    yield item
+
+        for helper in helpers:
+            helper.start()
+        try:
+            for task in chain(rest, iter(take, None)):
                 self._drain([func(task)], publish)
+                self._drain(finished(False), publish)
+            self._drain(finished(True), publish)
+        finally:
+            opt.clear()  # helpers stop after their current solve
+            for helper in helpers:
+                helper.join()
 
     @staticmethod
     def _drain(stream, publish) -> None:

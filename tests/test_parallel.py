@@ -1,9 +1,13 @@
 """Tests for the parallel sweep substrate (repro.parallel)."""
 
+import sys
+import threading
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import repro.parallel as parallel
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
 from repro.parallel import (
@@ -12,7 +16,8 @@ from repro.parallel import (
     describe_factory,
     run_sweep_point,
 )
-from repro.scenarios import ScenarioSpec, run_scenario
+from repro.scenarios import ScenarioSpec, get_scenario, run_scenario
+from repro.scenarios.runner import write_artifacts
 from repro.scheduling.baselines import MaxMatchPolicy
 from repro.simulation.engine import run_cioq
 from repro.switch.config import SwitchConfig
@@ -136,6 +141,128 @@ class TestExecutor:
             fh.write("{not json")
         again = SweepExecutor(cache_dir=str(tmp_path)).run(points)
         assert again == first
+
+
+def opt_and_policy_points(config, seeds=4):
+    """A PG point then an OPT point per seed, as a scenario lays them out."""
+    points = []
+    for pg in make_points(config, n=seeds):
+        points += [pg, SweepPoint(model="cioq", config=config,
+                                  trace=pg.trace, seed=pg.seed)]
+    return points
+
+
+class _SpyThread(threading.Thread):
+    """A ``threading.Thread`` that records the target of every thread."""
+
+    targets = []
+
+    def __init__(self, *args, **kwargs):
+        _SpyThread.targets.append(kwargs.get("target"))
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def spy_threads(monkeypatch):
+    _SpyThread.targets = []
+    monkeypatch.setattr(threading, "Thread", _SpyThread)
+    return _SpyThread.targets
+
+
+class TestInProcessOptSolvers:
+    """In-process runs overlap their OPT solves on one helper thread;
+    nothing about it may show in an artifact, a claim or a thread."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 4)
+
+    def test_threaded_run_matches_serial(self, config, monkeypatch,
+                                         spy_threads):
+        points = opt_and_policy_points(config)
+        ex = SweepExecutor()
+        threaded = ex.run(points)
+        assert len(spy_threads) == 1
+        assert sorted(t["index"] for t in ex.timings) == list(
+            range(len(points)))
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+        assert SweepExecutor().run(points) == threaded
+        assert len(spy_threads) == 1
+
+    def test_stress_every_point_published_once(self, config, monkeypatch):
+        # More solvers than cores and a tiny switch interval: a task
+        # taken twice or lost shows up in the ledger or the payloads.
+        monkeypatch.setattr(parallel, "OPT_SOLVERS", 4)
+        points = opt_and_policy_points(config, seeds=12)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ex = SweepExecutor()
+            threaded = ex.run(points)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(t["index"] for t in ex.timings) == list(
+            range(len(points)))
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+        assert SweepExecutor().run(points) == threaded
+
+    @pytest.mark.parametrize("fail_on", ["seed", "helper"])
+    def test_solve_failure_reraises_after_join(self, config, monkeypatch,
+                                               tmp_path, fail_on):
+        points = opt_and_policy_points(config)
+        caller = threading.current_thread()
+        helper_solving = threading.Event()
+        real_opt = parallel.cioq_opt
+
+        def flaky_opt(trace, cfg, **kwargs):
+            on_helper = threading.current_thread() is not caller
+            if on_helper:
+                helper_solving.set()
+            else:
+                # Make sure the helper gets a solve of its own.
+                helper_solving.wait(timeout=10)
+            if (trace is points[3].trace if fail_on == "seed"
+                    else on_helper):
+                raise ArithmeticError("solver failed on purpose")
+            return real_opt(trace, cfg, **kwargs)
+
+        monkeypatch.setattr(parallel, "cioq_opt", flaky_opt)
+        threads_before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="failed on purpose"):
+            SweepExecutor(cache_dir=str(tmp_path)).run(points)
+        assert threading.active_count() == threads_before
+        assert not list(tmp_path.rglob("*.claim"))
+        assert list(tmp_path.rglob("*.json"))
+
+    def test_no_thread_without_opt_or_with_workers(self, config,
+                                                   spy_threads):
+        SweepExecutor(backend="auto").run(make_points(config))
+        assert spy_threads == []
+        SweepExecutor(workers=2).run(opt_and_policy_points(config))
+        # The process pool runs its own handler threads; none of ours.
+        assert spy_threads
+        assert not [t for t in spy_threads
+                    if getattr(t, "__module__", None) == parallel.__name__]
+
+    @pytest.mark.parametrize("name,opt_mode,opt_window", [
+        ("bernoulli-overload", "exact", None),
+        ("qos-two-class", "exact", None),
+        ("crossbar-weighted-pareto", "exact", None),
+        ("bernoulli-overload", "windowed", 10),
+        ("bernoulli-overload", "bounds", None),
+    ])
+    def test_artifacts_identical_for_any_cpu_count(
+            self, name, opt_mode, opt_window, monkeypatch, tmp_path):
+        outputs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+            run = run_scenario(get_scenario(name), opt_mode=opt_mode,
+                               opt_window=opt_window)
+            json_path, csv_path, _ = write_artifacts(
+                run, str(tmp_path / str(cpus)))
+            outputs.append([Path(p).read_bytes()
+                            for p in (json_path, csv_path)])
+        assert outputs[0] == outputs[1]
 
 
 #: The 3x3 small-buffer switch of the ``config`` fixture, as spec fields.
